@@ -17,7 +17,7 @@ import numpy as np
 
 from .invariants import (all_invariants, Fingerprint, first_mismatch,
                          full_fingerprint, generic_fingerprint)
-from .pauli import decompose
+from .pauli import BlochTensor, decompose
 from .rotations import LocalRotation, act
 from .tensor_ops import gram
 
@@ -171,7 +171,10 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     dm = _lex_sign(b1.beta, zero_tol)
     dn = _lex_sign(b1.gamma, zero_tol)
     rot = LocalRotation(dl[:, None] * L, dm[:, None] * M, dn[:, None] * N)
-    b2 = act(b, rot)
+    # act(b, rot) is b1 with the sign triples applied, and flipping signs is exact
+    b2 = BlochTensor(dl * b1.alpha, dm * b1.beta, dn * b1.gamma,
+                     dl[:, None] * b1.R * dm, dl[:, None] * b1.S * dn, dm[:, None] * b1.T * dn,
+                     dl[:, None, None] * dm[:, None] * dn * b1.Q)
     cls = _classify((wx, wy, wz), b2, zero_tol, deg_tol)
     return CanonicalForm(b2, rot, cls)
 

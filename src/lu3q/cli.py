@@ -28,7 +28,7 @@ from .errors import (FormatError, InconsistentInvariantsError,
                      NotSpecialUnitaryError, SingularSystemError,
                      TraceNotOneError, WrongClassError)
 from .invariants import all_invariants, full_fingerprint
-from .pauli import decompose, reconstruct
+from .pauli import component_key, decompose, reconstruct
 from .recover import recover_two_zero, solve_single_zero
 from .rotations import LocalRotation, act, conjugate, haar_su2
 from .states import example_state, min_eigenvalue
@@ -48,15 +48,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    defaults = Tolerances()
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol-abs", type=float, default=1e-9,
-                     help="absolute tolerance for invariant comparison (default 1e-9)")
-    tol.add_argument("--tol-rel", type=float, default=1e-8,
-                     help="relative tolerance for invariant comparison (default 1e-8)")
-    tol.add_argument("--zero-tol", type=float, default=1e-7,
-                     help="threshold for structural zeros in canonical vectors (default 1e-7)")
-    tol.add_argument("--deg-tol", type=float, default=1e-7,
-                     help="relative spectral-gap threshold for degeneracy (default 1e-7)")
+    for name, what in (("tol_abs", "absolute tolerance for invariant comparison"),
+                       ("tol_rel", "relative tolerance for invariant comparison"),
+                       ("zero_tol", "threshold for structural zeros in canonical vectors"),
+                       ("deg_tol", "relative spectral-gap threshold for degeneracy")):
+        value = getattr(defaults, name)
+        shown = f"{value:.0e}".replace("e-0", "e-")
+        tol.add_argument("--" + name.replace("_", "-"), type=float, default=value,
+                         help=f"{what} (default {shown})")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
@@ -205,27 +206,21 @@ def _cmd_reconstruct(args):
     kind = cf.orbit_class.kind
     if kind == "single-zero":
         sol = solve_single_zero(fp, cf)
+        zq = "abg".index(sol.zero_vector)
+
+        def key(u, v):
+            """Key of the entry at u, v on the remaining qubits, ascending."""
+            idx = [u, v]
+            idx.insert(zq, sol.slot)
+            return component_key(tuple(idx))
+
         comps = {}
-        slot = sol.slot
         for j in range(3):
-            if sol.zero_vector == "a":
-                comps[f"R[{slot},{j + 1}]"] = float(sol.first[j])
-                comps[f"S[{slot},{j + 1}]"] = float(sol.second[j])
-            elif sol.zero_vector == "b":
-                comps[f"R[{j + 1},{slot}]"] = float(sol.first[j])
-                comps[f"T[{slot},{j + 1}]"] = float(sol.second[j])
-            else:
-                comps[f"S[{j + 1},{slot}]"] = float(sol.first[j])
-                comps[f"T[{j + 1},{slot}]"] = float(sol.second[j])
+            comps[key(j + 1, 0)] = float(sol.first[j])
+            comps[key(0, j + 1)] = float(sol.second[j])
         for u in range(3):
             for v in range(3):
-                if sol.zero_vector == "a":
-                    key = f"Q[{slot},{u + 1},{v + 1}]"
-                elif sol.zero_vector == "b":
-                    key = f"Q[{u + 1},{slot},{v + 1}]"
-                else:
-                    key = f"Q[{u + 1},{v + 1},{slot}]"
-                comps[key] = float(sol.q_slab[u, v])
+                comps[key(u + 1, v + 1)] = float(sol.q_slab[u, v])
         result["components"] = comps
         result["ambiguity"] = []
     elif kind in ("two-zero-diff", "two-zero-same"):

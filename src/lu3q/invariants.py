@@ -22,11 +22,12 @@ Power indices r, s, t always run 1..3 and enter as G^{r-1}, so only the
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import BlochTensor
 from .tensor_ops import flatten, gram, kron, triple_cofactor
 
 __all__ = [
@@ -40,16 +41,87 @@ __all__ = [
     "first_mismatch",
     "q_trilinear",
     "q_trilinear_flat",
+    "extra_name", "extra_q_name", "coupling_square_name", "q_square_name",
+    "vector_square_name", "slab_square_name", "sign_name", "sign_q_name",
 ]
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-8
 
 _VEC_NAMES = ("a", "b", "g")
+_GRAM_NAMES = "XYZ"
+_PAIRS = ((0, 1), (0, 2), (1, 2))   # _PAIRS[2 - q] holds the qubits other than q
+_R3 = (1, 2, 3)
+_GRID2 = tuple(itertools.product(_R3, repeat=2))
+_GRID3 = tuple(itertools.product(_R3, repeat=3))
+_SIGN_PATHS = ((1, 2), (0, 2), (0, 1, 2), (1, 0, 2))
+# R, S, T for the couplings of qubits (0,1), (0,2), (1,2); "t" marks the transpose
+_COUPLING = {(p, q): "RST"[p + q - 1] + ("t" if p > q else "")
+             for p in range(3) for q in range(3) if p != q}
+
+
+# Name builders.  Qubits 0, 1, 2 carry vectors a, b, g and Grams X, Y, Z, and may
+# come in any order, so code working on relabeled qubits finds the names of the
+# original tensor.  Cached: every fingerprint asks for the same few hundred names.
+
+@functools.cache
+def extra_name(q, o, r):
+    """Extra for a zero in vector q: its cofactor against C_qo G_o^{r-1} v_o."""
+    return f"tri:{_VEC_NAMES[q]},{_COUPLING[q, o]}{_VEC_NAMES[o]}:r={r}"
+
+
+@functools.cache
+def extra_q_name(q, r, s):
+    """Extra for a zero in vector q from Q; r, s weight the other qubits, ascending."""
+    o1, o2 = _PAIRS[2 - q]
+    return f"tri:{_VEC_NAMES[q]},Q{_VEC_NAMES[o1]}{_VEC_NAMES[o2]}:r={r},s={s}"
+
+
+@functools.cache
+def coupling_square_name(p, q, rp, rq):
+    """tr(C_pq G_q^{rq-1} C_pq^T G_p^{rp-1})."""
+    if p > q:
+        p, q, rp, rq = q, p, rq, rp
+    c = _COUPLING[p, q]
+    return f"sq:{c}{_GRAM_NAMES[q]}{c}{_GRAM_NAMES[p]}:r={rq},s={rp}"
+
+
+@functools.cache
+def q_square_name(r, s, t):
+    """Squared norm of Q weighted by X^{r-1}, Y^{s-1}, Z^{t-1}."""
+    return f"sq:QXQYZ:r={r},s={s},t={t}"
+
+
+@functools.cache
+def vector_square_name(q, o, r, s):
+    """Squared norm of G_q^{r-1} C_qo G_o^{s-1} v_o."""
+    return f"sq:{_GRAM_NAMES[q]}{_COUPLING[q, o]}{_GRAM_NAMES[o]}{_VEC_NAMES[o]}:r={r},s={s}"
+
+
+@functools.cache
+def slab_square_name(q, t, p1, r1, p2, r2):
+    """Squared norm of Q contracted with G_q^{t-1} v_q, weighted by powers r1, r2 of p1, p2."""
+    if p1 > p2:
+        p1, r1, p2, r2 = p2, r2, p1, r1
+    g, v = _GRAM_NAMES, _VEC_NAMES
+    return f"sq:{g[p1]}{g[p2]}Q{q + 1}{g[q]}{v[q]}:r={r1},s={r2},t={t}"
+
+
+@functools.cache
+def sign_name(path, r):
+    """Cofactor of vector path[0] against the couplings along path, ending in Z^{r-1} g."""
+    chain = "".join(_COUPLING[p, q] for p, q in zip(path, path[1:]))
+    return f"sgn:{_VEC_NAMES[path[0]]}{chain}g:r={r}"
+
+
+@functools.cache
+def sign_q_name(q, r, s):
+    """Cofactor of vector q (0 or 1) against Q contracted with G_o^{r-1} C_o2 Z^{s-1}, o = 1-q."""
+    return f"sgn:{_VEC_NAMES[q]}Q{_COUPLING[1 - q, 2]}:r={r},s={s}"
 
 
 class _Ctx:
-    """Per-tensor cache: Gram powers, power-weighted vectors, flattenings.
+    """Per-tensor cache: Gram powers, power-weighted vectors, couplings, per qubit.
 
     When grams is given, those matrices replace the ones derived from b.Q;
     reconstruction uses this to evaluate families on a partially zeroed
@@ -58,150 +130,97 @@ class _Ctx:
 
     def __init__(self, b, grams=None):
         self.b = b
-        X, Y, Z = gram(b.Q) if grams is None else grams
+        self.G = gram(b.Q) if grams is None else grams
         eye = np.eye(3)
-        self.G = {"X": X, "Y": Y, "Z": Z}
-        self.P = {n: [eye, g, g @ g] for n, g in self.G.items()}
+        self.P = [[eye, g, g @ g] for g in self.G]
         # column r-1 holds G^{r-1} v
-        self.V = {
-            "a": np.stack([p @ b.alpha for p in self.P["X"]], axis=1),
-            "b": np.stack([p @ b.beta for p in self.P["Y"]], axis=1),
-            "g": np.stack([p @ b.gamma for p in self.P["Z"]], axis=1),
-        }
-        self.cof = {n: triple_cofactor(self.V[n][:, 0], self.V[n][:, 1])
-                    for n in _VEC_NAMES}
+        self.V = [np.stack([p @ v for p in powers], axis=1)
+                  for powers, v in zip(self.P, (b.alpha, b.beta, b.gamma))]
+        self.cof = [triple_cofactor(v[:, 0], v[:, 1]) for v in self.V]
+        self.C = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
+                  (1, 2): b.T, (2, 1): b.T.T}
+
+
+def _axes(*qubits):
+    return "".join("ijk"[q] for q in qubits)
 
 
 def _generic_entries(ctx):
     b = ctx.b
     out = []
-    for n in ("X", "Y", "Z"):
-        g, g2 = ctx.G[n], ctx.P[n][2]
+    for n, g, g2 in zip(_GRAM_NAMES, ctx.G, (p[2] for p in ctx.P)):
         for r, val in enumerate((np.trace(g), np.trace(g2), np.einsum("ij,ji->", g2, g)), 1):
             out.append((f"tr{n}^{r}", float(val)))
-    for vn, v in (("a", b.alpha), ("b", b.beta), ("g", b.gamma)):
-        gn = {"a": "X", "b": "Y", "g": "Z"}[vn]
-        for r in (1, 2, 3):
-            out.append((f"{vn}{gn}{vn}:r={r}", float(ctx.V[vn][:, r - 1] @ v)))
-    for vn in _VEC_NAMES:
-        cols = ctx.V[vn]
-        out.append((f"tri:{vn}", float(ctx.cof[vn] @ cols[:, 2])))
-    for label, mat, left, right in (("aRb", b.R, "a", "b"),
-                                    ("aSg", b.S, "a", "g"),
-                                    ("bTg", b.T, "b", "g")):
-        grid = ctx.V[left].T @ mat @ ctx.V[right]
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                out.append((f"{label}:r={r},s={s}", float(grid[r - 1, s - 1])))
-    tri = np.einsum("ir,js,kt,ijk->rst", ctx.V["a"], ctx.V["b"], ctx.V["g"], b.Q)
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            for t in (1, 2, 3):
-                out.append((f"Q:r={r},s={s},t={t}", float(tri[r - 1, s - 1, t - 1])))
+    for vn, gn, cols, v in zip(_VEC_NAMES, _GRAM_NAMES, ctx.V, (b.alpha, b.beta, b.gamma)):
+        for r in _R3:
+            out.append((f"{vn}{gn}{vn}:r={r}", float(cols[:, r - 1] @ v)))
+    for vn, cols, cof in zip(_VEC_NAMES, ctx.V, ctx.cof):
+        out.append((f"tri:{vn}", float(cof @ cols[:, 2])))
+    for p, q in _PAIRS:
+        grid = ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q]
+        label = f"{_VEC_NAMES[p]}{_COUPLING[p, q]}{_VEC_NAMES[q]}"
+        for r, s in _GRID2:
+            out.append((f"{label}:r={r},s={s}", float(grid[r - 1, s - 1])))
+    tri = np.einsum("ir,js,kt,ijk->rst", *ctx.V, b.Q)
+    for r, s, t in _GRID3:
+        out.append((f"Q:r={r},s={s},t={t}", float(tri[r - 1, s - 1, t - 1])))
     return out
 
 
-def _extras_entries(ctx, vector):
-    """The 15 extra invariants for a vanishing component of the given vector."""
-    b = ctx.b
-    out = []
-    if vector == "a":
-        cof = ctx.cof["a"]
-        for r in (1, 2, 3):
-            out.append((f"tri:a,Rb:r={r}", float(cof @ (b.R @ ctx.V["b"][:, r - 1]))))
-        for r in (1, 2, 3):
-            out.append((f"tri:a,Sg:r={r}", float(cof @ (b.S @ ctx.V["g"][:, r - 1]))))
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                w = np.einsum("ijk,j,k->i", b.Q, ctx.V["b"][:, r - 1], ctx.V["g"][:, s - 1])
-                out.append((f"tri:a,Qbg:r={r},s={s}", float(cof @ w)))
-    elif vector == "b":
-        cof = ctx.cof["b"]
-        for r in (1, 2, 3):
-            out.append((f"tri:b,Rta:r={r}", float(cof @ (b.R.T @ ctx.V["a"][:, r - 1]))))
-        for r in (1, 2, 3):
-            out.append((f"tri:b,Tg:r={r}", float(cof @ (b.T @ ctx.V["g"][:, r - 1]))))
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                w = np.einsum("ijk,i,k->j", b.Q, ctx.V["a"][:, r - 1], ctx.V["g"][:, s - 1])
-                out.append((f"tri:b,Qag:r={r},s={s}", float(cof @ w)))
-    elif vector == "g":
-        cof = ctx.cof["g"]
-        for r in (1, 2, 3):
-            out.append((f"tri:g,Sta:r={r}", float(cof @ (b.S.T @ ctx.V["a"][:, r - 1]))))
-        for r in (1, 2, 3):
-            out.append((f"tri:g,Ttb:r={r}", float(cof @ (b.T.T @ ctx.V["b"][:, r - 1]))))
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                w = np.einsum("ijk,i,j->k", b.Q, ctx.V["a"][:, r - 1], ctx.V["b"][:, s - 1])
-                out.append((f"tri:g,Qab:r={r},s={s}", float(cof @ w)))
-    else:
-        raise ValueError(f'vector must be one of "a", "b", "g", got {vector!r}')
+def _extras_entries(ctx, q):
+    """The 15 extra invariants for a vanishing component of vector q."""
+    o1, o2 = _PAIRS[2 - q]
+    out = [(extra_name(q, o, r), float(ctx.cof[q] @ (ctx.C[q, o] @ ctx.V[o][:, r - 1])))
+           for o in (o1, o2) for r in _R3]
+    contract = f"ijk,{_axes(o1)},{_axes(o2)}->{_axes(q)}"
+    for r, s in _GRID2:
+        w = np.einsum(contract, ctx.b.Q, ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1])
+        out.append((extra_q_name(q, r, s), float(ctx.cof[q] @ w)))
     return out
 
 
 def _squared_entries(ctx):
-    b = ctx.b
-    Xp, Yp, Zp = ctx.P["X"], ctx.P["Y"], ctx.P["Z"]
+    b, P = ctx.b, ctx.P
     out = []
-    for label, mat, inner, outer in (("RYRX", b.R, Yp, Xp),
-                                     ("SZSX", b.S, Zp, Xp),
-                                     ("TZTY", b.T, Zp, Yp)):
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                val = np.einsum("ij,jk,lk,li->", mat, inner[r - 1], mat, outer[s - 1])
-                out.append((f"sq:{label}:r={r},s={s}", float(val)))
+    for p, q in _PAIRS:
+        mat = ctx.C[p, q]
+        for r, s in _GRID2:
+            val = np.einsum("ij,jk,lk,li->", mat, P[q][r - 1], mat, P[p][s - 1])
+            out.append((coupling_square_name(p, q, s, r), float(val)))
     qq = np.einsum("ria,abc,sbe,tcf,ief->rst",
-                   np.stack(Xp), b.Q, np.stack(Yp), np.stack(Zp), b.Q)
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            for t in (1, 2, 3):
-                out.append((f"sq:QXQYZ:r={r},s={s},t={t}", float(qq[r - 1, s - 1, t - 1])))
-    for label, mat, right, outer in (("XRYb", b.R, "b", Xp),
-                                     ("YRtXa", b.R.T, "a", Yp),
-                                     ("XSZg", b.S, "g", Xp),
-                                     ("ZStXa", b.S.T, "a", Zp),
-                                     ("YTZg", b.T, "g", Yp),
-                                     ("ZTtYb", b.T.T, "b", Zp)):
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                v = outer[r - 1] @ (mat @ ctx.V[right][:, s - 1])
-                out.append((f"sq:{label}:r={r},s={s}", float(v @ v)))
-    for label, axes, vec, left, rightp in (("YZQ1Xa", "ijk,i->jk", "a", Yp, Zp),
-                                           ("XZQ2Yb", "ijk,j->ik", "b", Xp, Zp),
-                                           ("XYQ3Zg", "ijk,k->ij", "g", Xp, Yp)):
-        ws = [np.einsum(axes, b.Q, ctx.V[vec][:, t]) for t in range(3)]
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                for t in (1, 2, 3):
-                    m = left[r - 1] @ ws[t - 1] @ rightp[s - 1]
-                    out.append((f"sq:{label}:r={r},s={s},t={t}", float(np.sum(m * m))))
+                   np.stack(P[0]), b.Q, np.stack(P[1]), np.stack(P[2]), b.Q)
+    for r, s, t in _GRID3:
+        out.append((q_square_name(r, s, t), float(qq[r - 1, s - 1, t - 1])))
+    for pair in _PAIRS:
+        for q, o in (pair, pair[::-1]):
+            for r, s in _GRID2:
+                v = P[q][r - 1] @ (ctx.C[q, o] @ ctx.V[o][:, s - 1])
+                out.append((vector_square_name(q, o, r, s), float(v @ v)))
+    for q in range(3):
+        o1, o2 = _PAIRS[2 - q]
+        contract = f"ijk,{_axes(q)}->{_axes(o1, o2)}"
+        ws = [np.einsum(contract, b.Q, ctx.V[q][:, t]) for t in range(3)]
+        for r, s, t in _GRID3:
+            m = P[o1][r - 1] @ ws[t - 1] @ P[o2][s - 1]
+            out.append((slab_square_name(q, t, o1, r, o2, s), float(np.sum(m * m))))
     return out
 
 
 def _sign_entries(ctx):
-    b = ctx.b
-    cof_a, cof_b = ctx.cof["a"], ctx.cof["b"]
-    Xp, Yp, Zp = ctx.P["X"], ctx.P["Y"], ctx.P["Z"]
+    b, P = ctx.b, ctx.P
     out = []
-    for r in (1, 2, 3):
-        out.append((f"sgn:bTg:r={r}", float(cof_b @ (b.T @ ctx.V["g"][:, r - 1]))))
-    for r in (1, 2, 3):
-        out.append((f"sgn:aSg:r={r}", float(cof_a @ (b.S @ ctx.V["g"][:, r - 1]))))
-    for r in (1, 2, 3):
-        out.append((f"sgn:aRTg:r={r}", float(cof_a @ (b.R @ (b.T @ ctx.V["g"][:, r - 1])))))
-    for r in (1, 2, 3):
-        out.append((f"sgn:bRtSg:r={r}", float(cof_b @ (b.R.T @ (b.S @ ctx.V["g"][:, r - 1])))))
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            m = Yp[r - 1] @ b.T @ Zp[s - 1]
-            w = np.einsum("ijk,jk->i", b.Q, m)
-            out.append((f"sgn:aQT:r={r},s={s}", float(cof_a @ w)))
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            m = Xp[r - 1] @ b.S @ Zp[s - 1]
-            w = np.einsum("ijk,ik->j", b.Q, m)
-            out.append((f"sgn:bQS:r={r},s={s}", float(cof_b @ w)))
+    for path in _SIGN_PATHS:
+        for r in _R3:
+            v = ctx.V[2][:, r - 1]
+            for p, q in zip(path[-2::-1], path[:0:-1]):
+                v = ctx.C[p, q] @ v
+            out.append((sign_name(path, r), float(ctx.cof[path[0]] @ v)))
+    for q in (0, 1):
+        o = 1 - q
+        contract = f"ijk,{_axes(o, 2)}->{_axes(q)}"
+        for r, s in _GRID2:
+            w = np.einsum(contract, b.Q, P[o][r - 1] @ ctx.C[o, 2] @ P[2][s - 1])
+            out.append((sign_q_name(q, r, s), float(ctx.cof[q] @ w)))
     return out
 
 
@@ -211,7 +230,6 @@ class Fingerprint:
 
     orbit_class: str
     entries: list = field(default_factory=list)
-    tolerance_hint: float = TOL_ABS
 
     def names(self):
         return [name for name, _ in self.entries]
@@ -220,10 +238,7 @@ class Fingerprint:
         return np.array([val for _, val in self.entries])
 
     def get(self, name):
-        for n, v in self.entries:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return dict(self.entries)[name]
 
     def __len__(self):
         return len(self.entries)
@@ -245,7 +260,9 @@ def generic_fingerprint(b):
 
 def single_zero_extras(b, vector, grams=None):
     """The 15 extra invariants for a zero component of vector "a", "b" or "g"."""
-    return _extras_entries(_Ctx(b, grams), vector)
+    if vector not in _VEC_NAMES:
+        raise ValueError(f'vector must be one of "a", "b", "g", got {vector!r}')
+    return _extras_entries(_Ctx(b, grams), _VEC_NAMES.index(vector))
 
 
 def squared_family(b, grams=None):
@@ -258,27 +275,16 @@ def sign_resolution(b, grams=None):
     return _sign_entries(_Ctx(b, grams))
 
 
+def _all_entries(ctx):
+    out = _generic_entries(ctx)
+    for q in range(3):
+        out += _extras_entries(ctx, q)
+    return out + _squared_entries(ctx) + _sign_entries(ctx)
+
+
 def all_invariants(b):
     """Every invariant the package defines: 75 + 3*15 + 189 + 30 = 339 entries."""
-    ctx = _Ctx(b)
-    out = _generic_entries(ctx)
-    for vec in _VEC_NAMES:
-        out += _extras_entries(ctx, vec)
-    out += _squared_entries(ctx)
-    out += _sign_entries(ctx)
-    return out
-
-
-def _kind_and_slots(orbit_class):
-    if isinstance(orbit_class, str):
-        tag = orbit_class
-        head = tag.split(":", 1)
-        kind = head[0]
-        slots = []
-        if kind in ("single-zero", "two-zero-diff", "two-zero-same") and len(head) == 2:
-            slots = [(tok[0], int(tok[1:])) for tok in head[1].split(",") if tok]
-        return kind, tuple(slots), tag
-    return orbit_class.kind, tuple(orbit_class.slots), orbit_class.tag
+    return _all_entries(_Ctx(b))
 
 
 def full_fingerprint(b, orbit_class):
@@ -288,21 +294,15 @@ def full_fingerprint(b, orbit_class):
     two-zero, degenerate and other classes -> all 339 entries (the full
     conservative set; every entry is a genuine invariant on any tensor).
     """
-    kind, slots, tag = _kind_and_slots(orbit_class)
     ctx = _Ctx(b)
-    entries = _generic_entries(ctx)
-    if kind == "generic":
-        pass
-    elif kind == "single-zero":
-        if not slots:
-            raise ValueError(f"single-zero class without a slot: {tag!r}")
-        entries += _extras_entries(ctx, slots[0][0])
+    if orbit_class.kind == "generic":
+        entries = _generic_entries(ctx)
+    elif orbit_class.kind == "single-zero":
+        q = _VEC_NAMES.index(orbit_class.slots[0][0])
+        entries = _generic_entries(ctx) + _extras_entries(ctx, q)
     else:
-        for vec in _VEC_NAMES:
-            entries += _extras_entries(ctx, vec)
-        entries += _squared_entries(ctx)
-        entries += _sign_entries(ctx)
-    return Fingerprint(tag, entries)
+        entries = _all_entries(ctx)
+    return Fingerprint(orbit_class.tag, entries)
 
 
 def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
@@ -311,8 +311,7 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     Entries compare positionally with |a - b| <= tol_abs + tol_rel*max(|a|,|b|).
     Raises ValueError if the name sequences differ (incomparable classes).
     """
-    names1, names2 = fp1.names(), fp2.names()
-    if names1 != names2:
+    if fp1.names() != fp2.names():
         raise ValueError("fingerprints enumerate different invariants and cannot be compared")
     for (name, v1), (_, v2) in zip(fp1.entries, fp2.entries):
         if abs(v1 - v2) > tol_abs + tol_rel * max(abs(v1), abs(v2)):
@@ -323,13 +322,13 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
 def q_trilinear(b, r, s, t):
     """sum_ijk (X^{r-1}a)_i (Y^{s-1}b)_j (Z^{t-1}g)_k Q_ijk, summed directly."""
     ctx = _Ctx(b)
-    return float(np.einsum("i,j,k,ijk->", ctx.V["a"][:, r - 1], ctx.V["b"][:, s - 1],
-                           ctx.V["g"][:, t - 1], b.Q))
+    return float(np.einsum("i,j,k,ijk->", ctx.V[0][:, r - 1], ctx.V[1][:, s - 1],
+                           ctx.V[2][:, t - 1], b.Q))
 
 
 def q_trilinear_flat(b, r, s, t):
     """Same contraction through the axis-1 flattening and a Kronecker product."""
     ctx = _Ctx(b)
     q1 = flatten(b.Q, 1)
-    big = kron(ctx.P["Y"][s - 1], ctx.P["Z"][t - 1])
-    return float(ctx.V["a"][:, r - 1] @ q1 @ big @ kron(b.beta, b.gamma))
+    big = kron(ctx.P[1][s - 1], ctx.P[2][t - 1])
+    return float(ctx.V[0][:, r - 1] @ q1 @ big @ kron(b.beta, b.gamma))

@@ -15,6 +15,7 @@ expectation value tr(rho * P) of the corresponding Pauli string P.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ __all__ = [
     "PAULI",
     "BlochTensor",
     "pauli_string",
-    "expectation",
+    "component_key",
     "decompose",
     "reconstruct",
     "validate_density",
@@ -87,20 +88,6 @@ def validate_density(rho, tol=HERMITICITY_TOL):
     return rho
 
 
-def expectation(rho, i, j, k):
-    """Expectation value tr(rho * s_i x s_j x s_k), real part.
-
-    Args:
-        rho: 8x8 array.
-        i, j, k: Pauli indices in 0..3 (0 is the identity).
-
-    Returns:
-        float; for Hermitian rho the imaginary part vanishes to rounding.
-    """
-    rho = _as_matrix(rho)
-    return float(np.einsum("ab,ba->", rho, pauli_string(i, j, k)).real)
-
-
 @dataclass(frozen=True)
 class BlochTensor:
     """Real coefficients (alpha, beta, gamma, R, S, T, Q) of a three-qubit state.
@@ -151,15 +138,37 @@ class BlochTensor:
     def allclose(self, other, atol=1e-12):
         return bool(np.allclose(self.components(), other.components(), atol=atol, rtol=0.0))
 
+    def permute(self, perm):
+        """Relabel the qubits: qubit i of the result is qubit perm[i] of self.
 
-def decompose(rho, tol=HERMITICITY_TOL):
-    """Expand a validated density matrix in the Pauli basis.
+        The coupling of new qubits i and j is the old coupling of perm[i] and
+        perm[j], transposed when perm[i] > perm[j], and Q becomes
+        Q.transpose(perm).  The density matrix has its tensor factors
+        reordered the same way.
+        """
+        perm = tuple(perm)
+        if sorted(perm) != [0, 1, 2]:
+            raise ValueError(f"perm must be a permutation of (0, 1, 2), got {perm}")
+        # a C-ordered copy, so that sums over the new arrays run in the usual order
+        return _from_coefficients(np.ascontiguousarray(_coefficients(self).transpose(perm)))
 
-    Returns the BlochTensor of all 63 non-identity coefficients.  The map is
-    linear in rho; decompose(reconstruct(b)) == b up to rounding.
-    """
-    rho = validate_density(rho, tol)
-    vals = np.einsum("ijkab,ba->ijk", _STRINGS, rho).real
+
+def _coefficients(b):
+    """The 4x4x4 array of all 64 Pauli coefficients, [0, 0, 0] = 1."""
+    vals = np.zeros((4, 4, 4))
+    vals[0, 0, 0] = 1.0
+    vals[1:, 0, 0] = b.alpha
+    vals[0, 1:, 0] = b.beta
+    vals[0, 0, 1:] = b.gamma
+    vals[1:, 1:, 0] = b.R
+    vals[1:, 0, 1:] = b.S
+    vals[0, 1:, 1:] = b.T
+    vals[1:, 1:, 1:] = b.Q
+    return vals
+
+
+def _from_coefficients(vals):
+    """BlochTensor of a 4x4x4 Pauli coefficient array (inverse of _coefficients)."""
     return BlochTensor(
         alpha=vals[1:, 0, 0],
         beta=vals[0, 1:, 0],
@@ -171,18 +180,35 @@ def decompose(rho, tol=HERMITICITY_TOL):
     )
 
 
+_KEY_MATRIX = {(1, 1, 0): "R", (1, 0, 1): "S", (0, 1, 1): "T", (1, 1, 1): "Q"}
+
+
+@functools.cache   # reconstruction asks for the same few dozen keys on every call
+def component_key(idx):
+    """Key such as "R[2,3]" or "Q[:,2,:]" for the coefficient of Pauli index (i, j, k).
+
+    0 is the identity on that qubit, 1..3 select s_1..s_3, and ":" stands
+    for all three.  Only coupling and Q coefficients have keys.
+    """
+    support = tuple(int(i != 0) for i in idx)
+    if support not in _KEY_MATRIX:
+        raise ValueError(f"no component key for Pauli index {tuple(idx)}")
+    return _KEY_MATRIX[support] + "[" + ",".join(str(i) for i in idx if i != 0) + "]"
+
+
+def decompose(rho, tol=HERMITICITY_TOL):
+    """Expand a validated density matrix in the Pauli basis.
+
+    Returns the BlochTensor of all 63 non-identity coefficients.  The map is
+    linear in rho; decompose(reconstruct(b)) == b up to rounding.
+    """
+    rho = validate_density(rho, tol)
+    return _from_coefficients(np.einsum("ijkab,ba->ijk", _STRINGS, rho).real)
+
+
 def reconstruct(b):
     """Assemble the 8x8 matrix from Pauli coefficients (inverse of decompose)."""
-    vals = np.zeros((4, 4, 4))
-    vals[0, 0, 0] = 1.0
-    vals[1:, 0, 0] = b.alpha
-    vals[0, 1:, 0] = b.beta
-    vals[0, 0, 1:] = b.gamma
-    vals[1:, 1:, 0] = b.R
-    vals[1:, 0, 1:] = b.S
-    vals[0, 1:, 1:] = b.T
-    vals[1:, 1:, 1:] = b.Q
-    return np.einsum("ijk,ijkab->ab", vals, _STRINGS) / 8.0
+    return np.einsum("ijk,ijkab->ab", _coefficients(b), _STRINGS) / 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,24 @@
 """Recover tensor components from invariant values at a canonical point.
 
-A single zero component in one of the vectors leaves one row (or column) of
-two coupling matrices and one slab of Q undetermined by the generic
-invariants; the extra triple-product invariants fix them through Vandermonde
-systems built from the canonical Gram spectra.  Two zeros leave a single
-coupling entry and a fiber of Q (different vectors) or two rows/slabs (same
-vector); the squared family pins magnitudes and in-row products, and the
-sign-resolution invariants fix the remaining signs when they do not vanish.
+Every zero pattern is solved in one frame.  BlochTensor.permute relabels the
+qubits so that the qubits holding the zeros come first and the others follow
+in ascending order: a zero in beta or gamma becomes a zero in alpha, and
+zeros in (alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  Each
+solver below is written once, for that alpha (or alpha-beta) case.  Frame
+qubit n is qubit perm[n] of the canonical tensor.  Invariant names are built
+from canonical qubit indices by the builders of the invariants module, and
+recovered entries are keyed by their Pauli index (i, j, k) through
+pauli.component_key, so mapping a frame quantity back is a tuple
+permutation.
+
+A single zero in alpha at slot p leaves row p of R and S and the slab
+Q[p,:,:] undetermined by the generic invariants; the extra triple-product
+invariants fix them through Vandermonde systems built from the canonical
+Gram spectra.  Zeros in alpha and beta leave R[p,q] and the fiber Q[p,q,:];
+two zeros in alpha leave two rows of R and S and two slabs of Q.  The
+squared family pins magnitudes and in-row products, and the sign-resolution
+invariants fix the remaining signs when they do not vanish.  Those cover
+zeros in (alpha, beta) only: the other pairs report magnitudes.
 
 Known-component contributions are always subtracted by re-evaluating the
 exact invariant on a copy of the tensor with the unknowns zeroed, never by
@@ -17,14 +29,20 @@ full tensor, which zeroing part of Q would otherwise perturb.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InconsistentInvariantsError, SingularSystemError,
                      WrongClassError)
-from .invariants import sign_resolution, single_zero_extras, squared_family
+from .invariants import (coupling_square_name, extra_name, extra_q_name,
+                         q_square_name, sign_name, sign_q_name,
+                         sign_resolution, single_zero_extras,
+                         slab_square_name, squared_family, vector_square_name)
+from .pauli import _coefficients, _from_coefficients, component_key
 from .tensor_ops import gram, triple_cofactor
 
 __all__ = [
@@ -38,7 +56,13 @@ __all__ = [
 ]
 
 MIN_DET = 1e-10
-SQUARE_FLOOR = -1e-9
+SQUARE_FLOOR = -1e-9   # a solved square below this is inconsistent
+ZERO_SQUARE = 1e-8     # a solved square at or below this is an exact zero
+SIGN_DEN_TOL = 1e-9    # smallest sign-invariant response that fixes a sign
+
+_VECTORS = ("a", "b", "g")
+_R3 = (1, 2, 3)
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _power_matrix(spec):
@@ -54,56 +78,86 @@ def _rel_det(mat):
     return float(abs(np.linalg.det(mat)) / scale ** n)
 
 
-def _checked_solve(mat, rhs, what, min_det):
-    rd = _rel_det(mat)
-    if rd < min_det:
-        raise SingularSystemError(f"{what}: relative determinant {rd:.3e} below {min_det:.1e}", rd)
-    return np.linalg.solve(mat, rhs)
-
-
-def _checked_kron_solve(mats, rhs, what, min_det):
-    """Solve a Kronecker-product system, gating singularity on each factor."""
+def _checked_solve(mats, rhs, what, min_det):
+    """Solve the Kronecker product of mats against rhs, gating singularity on each factor."""
     for i, m in enumerate(mats):
         rd = _rel_det(m)
         if rd < min_det:
+            factor = f"factor {i + 1} " if len(mats) > 1 else ""
             raise SingularSystemError(
-                f"{what}: factor {i + 1} relative determinant {rd:.3e} below {min_det:.1e}", rd)
-    big = mats[0]
-    for m in mats[1:]:
-        big = np.kron(big, m)
-    return np.linalg.solve(big, rhs)
+                f"{what}: {factor}relative determinant {rd:.3e} below {min_det:.1e}", rd)
+    return np.linalg.solve(functools.reduce(np.kron, mats), rhs)
 
 
-def _clamp_square(val, what):
-    if val < SQUARE_FLOOR:
-        raise InconsistentInvariantsError(f"{what}: squared value {val:.3e} below {SQUARE_FLOOR:.0e}")
-    return max(float(val), 0.0)
+def _clamp(squares, what):
+    """Solved squares with rounding below zero set to zero; far below zero is inconsistent."""
+    bad = squares[squares < SQUARE_FLOOR]
+    if bad.size:
+        raise InconsistentInvariantsError(
+            f"{what}: squared value {bad[0]:.3e} below {SQUARE_FLOOR:.0e}")
+    return np.maximum(squares, 0.0)
 
 
-def _masked(t, mR=None, mS=None, mT=None, mQ=None):
-    """Copy of the tensor with the masked (unknown) entries set to zero."""
-    kw = {}
-    for name, mask in (("R", mR), ("S", mS), ("T", mT), ("Q", mQ)):
-        if mask is not None:
-            arr = getattr(t, name).copy()
-            arr[mask] = 0.0
-            kw[name] = arr
-    return dataclasses.replace(t, **kw)
+def _frame_perm(zero_qubits):
+    """Zero qubits first, in order, then the other qubits ascending."""
+    return tuple(dict.fromkeys([*zero_qubits, 0, 1, 2]))
 
 
-def _entry_dict(fp):
-    return dict(fp.entries)
+class _Frame:
+    """A canonical form and its fingerprint, seen with the zero qubits first."""
+
+    def __init__(self, cf, fp):
+        cls = cf.orbit_class
+        self.perm = _frame_perm(_VECTORS.index(v) for v, _ in cls.slots)
+        self.inverse = tuple(self.perm.index(n) for n in range(3))
+        # a per-qubit tuple (Pauli index or powers) from frame to canonical qubit order
+        self.orig = operator.itemgetter(*self.inverse)
+        self.tensor = cf.tensor.permute(self.perm)
+        self.vectors = (self.tensor.alpha, self.tensor.beta, self.tensor.gamma)
+        self.spectra = [np.array(cls.spectra[q]) for q in self.perm]
+        self.slots = [s for _, s in cls.slots]   # Pauli indices on frame qubits 0 (and 1)
+        self.grams = tuple(np.diag(np.array(s, dtype=float)) for s in cls.spectra)
+        self.fpd = dict(fp.entries)
+
+    def key(self, idx):
+        return component_key(self.orig(idx))
+
+    def known(self, mask, values=0.0):
+        """Canonical tensor with the frame coefficients under mask set to values."""
+        vals = _coefficients(self.tensor)
+        vals[mask] = values
+        return _from_coefficients(np.ascontiguousarray(vals.transpose(self.inverse)))
+
+    def measured(self, known, names, what):
+        try:
+            return np.array([self.fpd[n] - known[n] for n in names])
+        except KeyError as exc:
+            raise ValueError(f"fingerprint lacks entry {exc} needed for {what}") from exc
+
+    def grid_solve(self, known, name, qubits, lams, what, min_det):
+        """Solve values(r, s, ...) = (lams[0] x lams[1] x ...) M for M.
+
+        Axis a of M and argument a of name belong to frame qubit qubits[a].
+        The system is built with its axes in canonical qubit order, so every
+        relabeling of a pattern solves the same system: these Kronecker
+        systems are ill-conditioned enough that another row order moves the
+        solution by up to 1e-10 relative.
+        """
+        shape = (3,) * len(qubits)
+        order = sorted(range(len(qubits)), key=lambda a: self.perm[qubits[a]])
+        names = np.array([name(*powers) for powers in itertools.product(_R3, repeat=len(shape))],
+                         dtype=object).reshape(shape)
+        d = self.measured(known, names.transpose(order).ravel(), what)
+        sol = _checked_solve([lams[a] for a in order], d, what, min_det)
+        return sol.reshape(shape).transpose(np.argsort(order))
 
 
-def _pinned_grams(cls):
-    return tuple(np.diag(np.array(s, dtype=float)) for s in cls.spectra)
-
-
-def _measured(fp_dict, known, names, what):
-    try:
-        return np.array([fp_dict[n] - known[n] for n in names])
-    except KeyError as exc:
-        raise ValueError(f"fingerprint lacks entry {exc} needed for {what}") from exc
+def _row_mask(slots):
+    """Frame coefficients with one of slots on qubit 0, apart from the zero vector itself."""
+    m = np.zeros((4, 4, 4), dtype=bool)
+    m[slots] = True
+    m[slots, 0, 0] = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -126,23 +180,24 @@ def vandermonde_system(cf):
     cls = cf.orbit_class
     if cls.kind != "single-zero":
         raise WrongClassError(f"expected a single-zero class, got {cls.tag}")
-    vec = cls.slots[0][0]
-    spec = {"a": np.array(cls.spectra[0]), "b": np.array(cls.spectra[1]),
-            "g": np.array(cls.spectra[2])}
-    comp = {"a": cf.tensor.alpha, "b": cf.tensor.beta, "g": cf.tensor.gamma}
-    first, second = [v for v in "abg" if v != vec]
+    _, first, second = _frame_perm([_VECTORS.index(cls.slots[0][0])])
+    vecs = (cf.tensor.alpha, cf.tensor.beta, cf.tensor.gamma)
     return VandermondeSystem(
-        Lambda=_power_matrix(spec[first]),
-        Theta=_power_matrix(spec[second]),
-        F=np.diag(comp[first]),
-        G=np.diag(comp[second]),
-        vectors=(first, second),
+        Lambda=_power_matrix(cls.spectra[first]),
+        Theta=_power_matrix(cls.spectra[second]),
+        F=np.diag(vecs[first]),
+        G=np.diag(vecs[second]),
+        vectors=(_VECTORS[first], _VECTORS[second]),
     )
 
 
 @dataclass
 class SingleZeroSolution:
-    """Recovered row/column of two coupling matrices and one slab of Q."""
+    """Recovered row/column of two coupling matrices and one slab of Q.
+
+    first and second are indexed by the first and second remaining qubit,
+    q_slab by both in ascending order.
+    """
 
     zero_vector: str
     slot: int
@@ -153,49 +208,12 @@ class SingleZeroSolution:
 
     def apply(self, b):
         """Insert the recovered values into a copy of the tensor."""
-        p = self.slot - 1
-        R, S, T, Q = b.R.copy(), b.S.copy(), b.T.copy(), b.Q.copy()
-        if self.zero_vector == "a":
-            R[p, :] = self.first
-            S[p, :] = self.second
-            Q[p, :, :] = self.q_slab
-        elif self.zero_vector == "b":
-            R[:, p] = self.first
-            T[p, :] = self.second
-            Q[:, p, :] = self.q_slab
-        else:
-            S[:, p] = self.first
-            T[:, p] = self.second
-            Q[:, :, p] = self.q_slab
-        return dataclasses.replace(b, R=R, S=S, T=T, Q=Q)
-
-
-_SINGLE_NAMES = {
-    "a": ("tri:a,Rb:r={r}", "tri:a,Sg:r={r}", "tri:a,Qbg:r={r},s={s}"),
-    "b": ("tri:b,Rta:r={r}", "tri:b,Tg:r={r}", "tri:b,Qag:r={r},s={s}"),
-    "g": ("tri:g,Sta:r={r}", "tri:g,Ttb:r={r}", "tri:g,Qab:r={r},s={s}"),
-}
-
-
-def _single_masks(vec, p):
-    mR = np.zeros((3, 3), dtype=bool)
-    mS = np.zeros((3, 3), dtype=bool)
-    mT = np.zeros((3, 3), dtype=bool)
-    mQ = np.zeros((3, 3, 3), dtype=bool)
-    if vec == "a":
-        mR[p, :] = True
-        mS[p, :] = True
-        mQ[p, :, :] = True
-        return mR, mS, None, mQ
-    if vec == "b":
-        mR[:, p] = True
-        mT[p, :] = True
-        mQ[:, p, :] = True
-        return mR, None, mT, mQ
-    mS[:, p] = True
-    mT[:, p] = True
-    mQ[:, :, p] = True
-    return None, mS, mT, mQ
+        perm = _frame_perm([_VECTORS.index(self.zero_vector)])
+        vals = _coefficients(b.permute(perm))
+        vals[self.slot, 1:, 0] = self.first
+        vals[self.slot, 0, 1:] = self.second
+        vals[self.slot, 1:, 1:] = self.q_slab
+        return _from_coefficients(vals).permute(np.argsort(perm))
 
 
 def solve_single_zero(fp, cf, min_det=MIN_DET):
@@ -205,48 +223,32 @@ def solve_single_zero(fp, cf, min_det=MIN_DET):
     and SingularSystemError when a system determinant or the triple-product
     prefactor is below threshold.
     """
-    cls = cf.orbit_class
-    if cls.kind != "single-zero":
-        raise WrongClassError(f"expected a single-zero class, got {cls.tag}")
-    vec, slot = cls.slots[0]
-    p = slot - 1
-    t = cf.tensor
-
     vsys = vandermonde_system(cf)
-    A1 = vsys.Lambda @ vsys.F
-    A2 = vsys.Theta @ vsys.G
+    fr = _Frame(cf, fp)
+    zq, p = fr.perm[0], fr.slots[0]
 
-    grams = gram(t.Q)
-    v = {"a": t.alpha, "b": t.beta, "g": t.gamma}[vec]
-    gv = {"a": grams.X, "b": grams.Y, "g": grams.Z}[vec]
-    cof = triple_cofactor(v, gv @ v)
-    pref = cof[p]
+    v = fr.vectors[0]
+    gv = gram(cf.tensor.Q)[zq]
+    pref = triple_cofactor(v, gv @ v)[p - 1]
     pref_scale = float(np.linalg.norm(v) ** 2 * max(np.max(np.diag(gv)), 0.0))
     if abs(pref) < min_det * max(pref_scale, 1e-300):
         raise SingularSystemError(
             f"triple-product prefactor {pref:.3e} too small to solve", abs(pref))
 
-    t_known = _masked(t, *_single_masks(vec, p))
-    known = dict(single_zero_extras(t_known, vec, _pinned_grams(cls)))
-    fpd = _entry_dict(fp)
+    known = dict(single_zero_extras(fr.known(_row_mask([p])), _VECTORS[zq], fr.grams))
 
-    fmt1, fmt2, fmtq = _SINGLE_NAMES[vec]
-    rhs1 = _measured(fpd, known, [fmt1.format(r=r) for r in (1, 2, 3)], "single-zero solve") / pref
-    rhs2 = _measured(fpd, known, [fmt2.format(r=r) for r in (1, 2, 3)], "single-zero solve") / pref
-    rhsq = _measured(fpd, known,
-                     [fmtq.format(r=r, s=s) for r in (1, 2, 3) for s in (1, 2, 3)],
-                     "single-zero solve") / pref
+    A1 = vsys.Lambda @ vsys.F
+    A2 = vsys.Theta @ vsys.G
+    rhs = [fr.measured(known, [extra_name(zq, o, r) for r in _R3], "single-zero solve") / pref
+           for o in fr.perm[1:]]
+    rhsq = fr.measured(known, [extra_q_name(zq, r, s) for r in _R3 for s in _R3],
+                       "single-zero solve") / pref
 
-    first = _checked_solve(A1, rhs1, "first coupling system", min_det)
-    second = _checked_solve(A2, rhs2, "second coupling system", min_det)
-    q_slab = _checked_kron_solve((A1, A2), rhsq, "Q slab system", min_det).reshape(3, 3)
-
-    targets = {
-        "a": (f"R[{slot},:]", f"S[{slot},:]", f"Q[{slot},:,:]"),
-        "b": (f"R[:,{slot}]", f"T[{slot},:]", f"Q[:,{slot},:]"),
-        "g": (f"S[:,{slot}]", f"T[:,{slot}]", f"Q[:,:,{slot}]"),
-    }[vec]
-    return SingleZeroSolution(vec, slot, first, second, q_slab, targets)
+    first = _checked_solve((A1,), rhs[0], "first coupling system", min_det)
+    second = _checked_solve((A2,), rhs[1], "second coupling system", min_det)
+    q_slab = _checked_solve((A1, A2), rhsq, "Q slab system", min_det).reshape(3, 3)
+    targets = tuple(fr.key(idx) for idx in ((p, ":", 0), (p, 0, ":"), (p, ":", ":")))
+    return SingleZeroSolution(_VECTORS[zq], p, first, second, q_slab, targets)
 
 
 @dataclass
@@ -268,62 +270,40 @@ class TwoZeroRecovery:
     notes: list
 
 
-def _pair_products(rhs, spec, weights, min_det, what):
-    """Solve sum over pairs 2 (spec_j spec_k)^tau w_j w_k P_jk = rhs_tau."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    B = np.array([[2.0 * (spec[j] * spec[k]) ** tau * weights[j] * weights[k]
-                   for (j, k) in pairs] for tau in range(3)])
-    sol = _checked_solve(B, rhs, what, min_det)
-    return dict(zip(pairs, sol))
+def _row_product_matrix(row_squares, w2_row, spec, weights, min_det, what):
+    """Product matrix P_jk = x_j x_k of one row x from its squares and squared sums.
 
-
-def _diag_contrib(squares, spec, weights):
-    """Diagonal part sum_j squares_j (spec_j^2)^tau w_j^2 for tau = 0..2."""
-    return np.array([float(np.sum(squares * (spec ** 2) ** tau * weights ** 2))
+    The squared sums obey w2_row[tau] = sum_jk (spec_j spec_k)^tau w_j w_k P_jk,
+    so the off-diagonal products follow from a Vandermonde-like solve.
+    """
+    diag = np.array([float(np.sum(row_squares * (spec ** 2) ** tau * weights ** 2))
                      for tau in range(3)])
+    B = np.array([[2.0 * (spec[j] * spec[k]) ** tau * weights[j] * weights[k]
+                   for (j, k) in _PAIRS] for tau in range(3)])
+    offdiag = _checked_solve((B,), w2_row - diag, what, min_det)
+    P = np.diag(row_squares)
+    for (j, k), val in zip(_PAIRS, offdiag):
+        P[j, k] = P[k, j] = val
+    return P
 
 
-def _rank1_factor(P, square_floor):
+def _rank1_factor(P):
     """Factor a rank-1 PSD product matrix, pivoting on the largest diagonal."""
     diag = np.diag(P)
     pivot = int(np.argmax(diag))
-    if diag[pivot] <= square_floor:
+    if diag[pivot] <= ZERO_SQUARE:
         return np.zeros(3), True
     vals = P[:, pivot] / np.sqrt(diag[pivot])
-    vals = np.where(diag <= square_floor, 0.0, vals)
+    vals = np.where(diag <= ZERO_SQUARE, 0.0, vals)
     return vals, False
 
 
-_DIFF_CONFIG = {
-    ("a", "b"): dict(coupling="R", coupling_sq="sq:RYRX:r=1,s=1",
-                     fiber_sq="sq:QXQYZ:r=1,s=1,t={n}", fiber_prod="sq:XYQ3Zg:r=1,s=1,t={n}",
-                     free_axis=2, spec_idx=2, weight_vec="gamma"),
-    ("a", "g"): dict(coupling="S", coupling_sq="sq:SZSX:r=1,s=1",
-                     fiber_sq="sq:QXQYZ:r=1,s={n},t=1", fiber_prod="sq:XZQ2Yb:r=1,s=1,t={n}",
-                     free_axis=1, spec_idx=1, weight_vec="beta"),
-    ("b", "g"): dict(coupling="T", coupling_sq="sq:TZTY:r=1,s=1",
-                     fiber_sq="sq:QXQYZ:r={n},s=1,t=1", fiber_prod="sq:YZQ1Xa:r=1,s=1,t={n}",
-                     free_axis=0, spec_idx=0, weight_vec="alpha"),
-}
+def _row_group(label, keys, P):
+    vals, zero = _rank1_factor(P)
+    return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, bool(zero))
 
 
-def _fiber_index(free_axis, p, q):
-    if free_axis == 2:
-        return (p, q, slice(None))
-    if free_axis == 1:
-        return (p, slice(None), q)
-    return (slice(None), p, q)
-
-
-def _fiber_keys(free_axis, p, q):
-    if free_axis == 2:
-        return [f"Q[{p + 1},{q + 1},{k}]" for k in (1, 2, 3)], f"Q[{p + 1},{q + 1},:]"
-    if free_axis == 1:
-        return [f"Q[{p + 1},{k},{q + 1}]" for k in (1, 2, 3)], f"Q[{p + 1},:,{q + 1}]"
-    return [f"Q[{k},{p + 1},{q + 1}]" for k in (1, 2, 3)], f"Q[:,{p + 1},{q + 1}]"
-
-
-def _resolve_linear_sign(fpd, t_known, t_unit, names, den_tol, grams):
+def _resolve_linear_sign(fpd, t_known, t_unit, names, grams):
     """Best sign estimate from invariants linear in the unknown block.
 
     Returns (value, resolved): value solves measured = known + value*unit
@@ -336,139 +316,73 @@ def _resolve_linear_sign(fpd, t_known, t_unit, names, den_tol, grams):
         contrib = sgn_unit[n] - sgn_known[n]
         if abs(contrib) > abs(best[1]):
             best = (fpd[n] - sgn_known[n], contrib)
-    if abs(best[1]) <= den_tol:
+    if abs(best[1]) <= SIGN_DEN_TOL:
         return 0.0, False
     return best[0] / best[1], True
 
 
-def _recover_diff(fp, cf, min_det, den_tol, square_floor):
-    cls = cf.orbit_class
-    (v1, s1), (v2, s2) = cls.slots
-    p, q = s1 - 1, s2 - 1
-    cfg = _DIFF_CONFIG[(v1, v2)]
-    t = cf.tensor
-    spec = np.array(cls.spectra[cfg["spec_idx"]])
-    weights = getattr(t, cfg["weight_vec"])
+def _recover_diff(fr, min_det):
+    """Zeros at frame slots p, q of vectors 0 and 1: R[p,q] and the fiber Q[p,q,:]."""
+    P = fr.perm
+    p, q = fr.slots
+    spec, weights = fr.spectra[2], fr.vectors[2]
+    mask = np.zeros((4, 4, 4), dtype=bool)
+    mask[p, q] = True
+    t_known = fr.known(mask)
+    sq_known = dict(squared_family(t_known, fr.grams))
 
-    cname = cfg["coupling"]
-    mC = np.zeros((3, 3), dtype=bool)
-    mC[p, q] = True
-    mQ = np.zeros((3, 3, 3), dtype=bool)
-    mQ[_fiber_index(cfg["free_axis"], p, q)] = True
-    mask_kw = {"m" + cname: mC, "mQ": mQ}
-    t_known = _masked(t, **mask_kw)
+    ckey = fr.key((p, q, 0))
+    c2 = float(_clamp(fr.measured(sq_known, [coupling_square_name(P[0], P[1], 1, 1)], ckey),
+                      ckey)[0])
+    d = fr.measured(sq_known, [q_square_name(*fr.orig((1, 1, n))) for n in _R3], "fiber squares")
+    fiber_sq = _clamp(_checked_solve((_power_matrix(spec),), d, "fiber square system", min_det),
+                      "Q fiber")
+    m = fr.measured(sq_known, [slab_square_name(P[2], n, P[0], 1, P[1], 1) for n in _R3],
+                    "fiber products")
+    prod = _row_product_matrix(fiber_sq, m, spec, weights, min_det, "fiber product system")
 
-    grams = _pinned_grams(cls)
-    fpd = _entry_dict(fp)
-    sq_known = dict(squared_family(t_known, grams))
-
-    ckey = f"{cname}[{s1},{s2}]"
-    c2 = _clamp_square(_measured(fpd, sq_known, [cfg["coupling_sq"]], ckey)[0], ckey)
-
-    fiber_sq_names = [cfg["fiber_sq"].format(n=n) for n in (1, 2, 3)]
-    d = _measured(fpd, sq_known, fiber_sq_names, "fiber squares")
-    fiber_sq = _checked_solve(_power_matrix(spec), d, "fiber square system", min_det)
-    fiber_sq = np.array([_clamp_square(x, "Q fiber") for x in fiber_sq])
-
-    prod_names = [cfg["fiber_prod"].format(n=n) for n in (1, 2, 3)]
-    m = _measured(fpd, sq_known, prod_names, "fiber products")
-    rhs = m - _diag_contrib(fiber_sq, spec, weights)
-    offdiag = _pair_products(rhs, spec, weights, min_det, "fiber product system")
-
-    P = np.diag(fiber_sq)
-    for (j, k), val in offdiag.items():
-        P[j, k] = P[k, j] = val
-    fiber_vals, fiber_zero = _rank1_factor(P, square_floor)
-
-    keys, fiber_label = _fiber_keys(cfg["free_axis"], p, q)
+    keys = [fr.key((p, q, k)) for k in _R3]
+    fiber = _row_group(fr.key((p, q, ":")), keys, prod)
     squares = {f"{ckey}^2": c2}
     squares.update({f"{k}^2": float(s) for k, s in zip(keys, fiber_sq)})
 
-    notes = []
     c_mag = float(np.sqrt(c2))
-    groups = []
-    if (v1, v2) == ("a", "b"):
-        if c2 <= square_floor:
-            groups.append(SignGroup(ckey, {ckey: 0.0}, True))
-        else:
-            unit = t.R.copy() * 0.0
-            unit[p, q] = 1.0
-            t_unit = dataclasses.replace(t_known, R=t_known.R + unit)
-            val, ok = _resolve_linear_sign(
-                fpd, t_known, t_unit,
-                [f"sgn:aRTg:r={r}" for r in (1, 2, 3)] + [f"sgn:bRtSg:r={r}" for r in (1, 2, 3)],
-                den_tol, grams)
-            groups.append(SignGroup(ckey, {ckey: np.copysign(c_mag, val) if ok else c_mag}, ok))
-        if fiber_zero:
-            groups.append(SignGroup(fiber_label, {k: 0.0 for k in keys}, True))
-        else:
-            qt = t_known.Q.copy()
-            qt[_fiber_index(cfg["free_axis"], p, q)] = fiber_vals
-            t_unit = dataclasses.replace(t_known, Q=qt)
-            sigma, ok = _resolve_linear_sign(
-                fpd, t_known, t_unit,
-                [f"sgn:aQT:r={r},s={s}" for r in (1, 2, 3) for s in (1, 2, 3)]
-                + [f"sgn:bQS:r={r},s={s}" for r in (1, 2, 3) for s in (1, 2, 3)],
-                den_tol, grams)
-            vals = np.copysign(1.0, sigma) * fiber_vals if ok else fiber_vals
-            groups.append(SignGroup(fiber_label, {k: float(x) for k, x in zip(keys, vals)}, ok))
+    if P[:2] != (0, 1):
+        notes = [f"sign-resolution invariants cover zeros in (a, b); "
+                 f"pair ({_VECTORS[P[0]]}, {_VECTORS[P[1]]}) reports magnitudes only"]
+        coupling = SignGroup(ckey, {ckey: c_mag}, bool(c2 <= ZERO_SQUARE))
+        return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], notes)
+
+    if c2 <= ZERO_SQUARE:
+        coupling = SignGroup(ckey, {ckey: 0.0}, True)
     else:
-        notes.append(f"sign-resolution invariants cover zeros in (a, b); "
-                     f"pair ({v1}, {v2}) reports magnitudes only")
-        groups.append(SignGroup(ckey, {ckey: c_mag}, bool(c2 <= square_floor)))
-        groups.append(SignGroup(fiber_label, {k: float(x) for k, x in zip(keys, fiber_vals)},
-                                bool(fiber_zero)))
-    return TwoZeroRecovery("different-vectors", squares, groups, notes)
+        val, ok = _resolve_linear_sign(
+            fr.fpd, t_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
+            [sign_name(path, r) for path in ((0, 1, 2), (1, 0, 2)) for r in _R3], fr.grams)
+        coupling = SignGroup(ckey, {ckey: np.copysign(c_mag, val) if ok else c_mag}, ok)
+    if not fiber.resolved:
+        vals = list(fiber.components.values())
+        sigma, ok = _resolve_linear_sign(
+            fr.fpd, t_known, fr.known(mask, [0.0, *vals]),
+            [sign_q_name(v, r, s) for v in (0, 1) for r in _R3 for s in _R3], fr.grams)
+        sign = np.copysign(1.0, sigma) if ok else 1.0
+        fiber = SignGroup(fiber.label, {k: float(sign * x) for k, x in zip(keys, vals)}, ok)
+    return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], [])
 
 
-def _rs_square_solve(fpd, sq_known, fmt, lam_row, lam_col, min_det, what):
-    """Solve values(r,s) = sum_uv lam_row[r,u] lam_col[s,v] M[u,v]."""
-    names = [fmt.format(r=r, s=s) for r in (1, 2, 3) for s in (1, 2, 3)]
-    d = _measured(fpd, sq_known, names, what)
-    return _checked_kron_solve((lam_row, lam_col), d, what, min_det).reshape(3, 3)
-
-
-def _per_s_vander_solve(fpd, sq_known, fmt, lam4, min_det, what):
-    """Solve values(r,s) = sum_u lam4[r,u] W[u,s] column by column."""
-    out = np.empty((3, 3))
-    for s in (1, 2, 3):
-        d = _measured(fpd, sq_known, [fmt.format(r=r, s=s) for r in (1, 2, 3)], what)
-        out[:, s - 1] = _checked_solve(lam4, d, what, min_det)
-    return out
-
-
-def _per_t_grid_solve(fpd, sq_known, fmt, lam_a, lam_b, min_det, what):
-    """Solve values(r,s,t) = sum_uv lam_a[r,u] lam_b[s,v] U[u,v,t] per t."""
-    out = np.empty((3, 3, 3))
-    for n in (1, 2, 3):
-        names = [fmt.format(r=r, s=s, t=n) for r in (1, 2, 3) for s in (1, 2, 3)]
-        d = _measured(fpd, sq_known, names, what)
-        out[:, :, n - 1] = _checked_kron_solve((lam_a, lam_b), d, what, min_det).reshape(3, 3)
-    return out
-
-
-def _row_product_matrix(row_squares, w2_row, spec, weights, min_det, what):
-    """Product matrix of one row from its squares and the squared sums w2_row."""
-    rhs = w2_row - _diag_contrib(row_squares, spec, weights)
-    offdiag = _pair_products(rhs, spec, weights, min_det, what)
-    P = np.diag(row_squares)
-    for (j, k), val in offdiag.items():
-        P[j, k] = P[k, j] = val
-    return P
-
-
-def _slab_sign_groups(slab_label, magnitudes, edges, square_floor):
+def _slab_sign_groups(slab_label, magnitudes, edges, key):
     """Connected sign components of a 3x3 slab from in-row/in-column products.
 
     magnitudes: 3x3 non-negative entry magnitudes; edges: dict mapping node
-    pairs ((u,v),(u',v')) to product values.  Nodes whose squared magnitude
-    is at or below square_floor are collected into one resolved zero group.
+    pairs ((u,v),(u',v')) to product values; key(u, v): component key of a
+    node.  Nodes whose squared magnitude is at or below ZERO_SQUARE are
+    collected into one resolved zero group.
     """
     nodes = [(u, v) for u in range(3) for v in range(3)]
-    live = {n for n in nodes if magnitudes[n] ** 2 > square_floor}
+    live = {n for n in nodes if magnitudes[n] ** 2 > ZERO_SQUARE}
     adj = {n: [] for n in live}
     for (n1, n2), prod in edges.items():
-        if n1 in live and n2 in live and abs(prod) > square_floor:
+        if n1 in live and n2 in live and abs(prod) > ZERO_SQUARE:
             adj[n1].append((n2, prod))
             adj[n2].append((n1, prod))
     groups = []
@@ -493,215 +407,82 @@ def _slab_sign_groups(slab_label, magnitudes, edges, square_floor):
                     sign[nxt] = want
                     seen.add(nxt)
                     queue.append(nxt)
-        comps = {}
-        for (u, v), s in sorted(sign.items()):
-            comps[_slab_key(slab_label, u, v)] = float(s * magnitudes[u, v])
+        comps = {key(u, v): float(s * magnitudes[u, v]) for (u, v), s in sorted(sign.items())}
         groups.append(SignGroup(f"{slab_label}#{comp_idx}", comps, False))
-    zeros = {n for n in nodes if n not in live}
+    zeros = sorted(n for n in nodes if n not in live)
     if zeros:
-        comps = {_slab_key(slab_label, u, v): 0.0 for (u, v) in sorted(zeros)}
-        groups.append(SignGroup(f"{slab_label}#zeros", comps, True))
+        groups.append(SignGroup(f"{slab_label}#zeros", {key(u, v): 0.0 for u, v in zeros}, True))
     return groups
 
 
-def _slab_key(slab_label, u, v):
-    """Component key for node (u, v) of a slab labeled like Q[2,:,:]."""
-    inner = slab_label[2:-1].split(",")
-    free = [i for i, tok in enumerate(inner) if tok == ":"]
-    inner[free[0]] = str(u + 1)
-    inner[free[1]] = str(v + 1)
-    return "Q[" + ",".join(inner) + "]"
+def _recover_same(fr, min_det):
+    """Zeros at two frame slots of vector 0: those rows of R and S and slabs of Q."""
+    P = fr.perm
+    spec, vec = fr.spectra, fr.vectors
+    lam = [_power_matrix(x) for x in spec]
+    lam4 = [_power_matrix(x ** 2) for x in spec]
+    sq_known = dict(squared_family(fr.known(_row_mask(fr.slots)), fr.grams))
 
+    def solve(name, qubits, what, lams=lam4):
+        return fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what, min_det)
 
-def _recover_same(fp, cf, min_det, square_floor):
-    cls = cf.orbit_class
-    vec = cls.slots[0][0]
-    rows = [s - 1 for _, s in cls.slots]
-    t = cf.tensor
-    x2, y2, z2 = (np.array(s) for s in cls.spectra)
-    alpha, beta, gamma = t.alpha, t.beta, t.gamma
+    def coupling_squares(a, b):
+        """Squares of the frame coupling of qubits a < b, indexed [row on a, column on b]."""
+        letter = fr.key(tuple(":" if n in (a, b) else 0 for n in range(3)))[0]
+        sq = solve(lambda r, s: coupling_square_name(P[a], P[b], r, s), (a, b),
+                   f"{letter} squares", lam)
+        return _clamp(sq, letter)
 
-    lam_x, lam_y, lam_z = _power_matrix(x2), _power_matrix(y2), _power_matrix(z2)
-    lam_x4, lam_y4, lam_z4 = (_power_matrix(x2 ** 2), _power_matrix(y2 ** 2),
-                              _power_matrix(z2 ** 2))
+    def row_sums(o):
+        """Squared sums along each row of the frame coupling (0, o), indexed [row, s]."""
+        return np.stack([solve(lambda r: vector_square_name(P[0], P[o], r, s), (0,),
+                               "row sums") for s in _R3], axis=1)
 
-    mQ = np.zeros((3, 3, 3), dtype=bool)
-    m1 = np.zeros((3, 3), dtype=bool)
-    m2 = np.zeros((3, 3), dtype=bool)
-    if vec == "a":
-        m1[rows, :] = True          # rows of R
-        m2[rows, :] = True          # rows of S
-        mQ[rows, :, :] = True
-        t_known = _masked(t, mR=m1, mS=m2, mQ=mQ)
-    elif vec == "b":
-        m1[:, rows] = True          # columns of R
-        m2[rows, :] = True          # rows of T
-        mQ[:, rows, :] = True
-        t_known = _masked(t, mR=m1, mT=m2, mQ=mQ)
-    else:
-        m1[:, rows] = True          # columns of S
-        m2[:, rows] = True          # columns of T
-        mQ[:, :, rows] = True
-        t_known = _masked(t, mS=m1, mT=m2, mQ=mQ)
+    def slab_sums(q, o):
+        """Squared sums along the qubit-o lines of the slabs, indexed [row, line on q, t]."""
+        return np.stack([solve(lambda r, s: slab_square_name(P[o], t, P[0], r, P[q], s),
+                               (0, q), "Q line sums") for t in _R3], axis=2)
 
-    grams = _pinned_grams(cls)
-    fpd = _entry_dict(fp)
-    sq_known = dict(squared_family(t_known, grams))
-
-    # full-grid square solves; entries outside the unknown mask come out ~0
-    R2m = _rs_square_solve(fpd, sq_known, "sq:RYRX:r={r},s={s}", lam_y, lam_x,
-                           min_det, "R squares")          # [j, i]
-    S2m = _rs_square_solve(fpd, sq_known, "sq:SZSX:r={r},s={s}", lam_z, lam_x,
-                           min_det, "S squares")          # [k, i]
-    T2m = _rs_square_solve(fpd, sq_known, "sq:TZTY:r={r},s={s}", lam_z, lam_y,
-                           min_det, "T squares")          # [k, j]
-    names_q = ["sq:QXQYZ:r={r},s={s},t={t}".format(r=r, s=s, t=n)
-               for r in (1, 2, 3) for s in (1, 2, 3) for n in (1, 2, 3)]
-    dq = _measured(fpd, sq_known, names_q, "Q squares")
-    Q2 = _checked_kron_solve((lam_x, lam_y, lam_z), dq,
-                             "Q square system", min_det).reshape(3, 3, 3)
-    R2 = R2m.T  # [i, j]
-    S2 = S2m.T  # [i, k]
-    T2 = T2m.T  # [j, k]
+    C1, C2 = coupling_squares(0, 1), coupling_squares(0, 2)
+    W1, W2 = row_sums(1), row_sums(2)
+    Q2 = _clamp(solve(lambda r, s, t: q_square_name(*fr.orig((r, s, t))), (0, 1, 2),
+                      "Q squares", lam), "Q")
+    U1, U2 = slab_sums(2, 1), slab_sums(1, 2)
 
     squares = {}
     groups = []
     notes = ["per-row and per-slab sign freedoms are independent; the implemented "
              "invariant set does not couple them"]
-
-    def clamp_mat(mat, what):
-        return np.array([[_clamp_square(x, what) for x in row] for row in mat])
-
-    if vec == "a":
-        R2c, S2c, Q2c = clamp_mat(R2, "R"), clamp_mat(S2, "S"), None
-        Q2c = np.array([clamp_mat(Q2[i], "Q") for i in range(3)])
-        WR = _per_s_vander_solve(fpd, sq_known, "sq:XRYb:r={r},s={s}", lam_x4,
-                                 min_det, "R row sums")    # [i, s]
-        WS = _per_s_vander_solve(fpd, sq_known, "sq:XSZg:r={r},s={s}", lam_x4,
-                                 min_det, "S row sums")
-        U2 = _per_t_grid_solve(fpd, sq_known, "sq:XZQ2Yb:r={r},s={s},t={t}",
-                               lam_x4, lam_z4, min_det, "Q in-column sums")  # [i, k, t]
-        U3 = _per_t_grid_solve(fpd, sq_known, "sq:XYQ3Zg:r={r},s={s},t={t}",
-                               lam_x4, lam_y4, min_det, "Q in-row sums")     # [i, j, t]
-        for i in rows:
-            for j in range(3):
-                squares[f"R[{i + 1},{j + 1}]^2"] = float(R2c[i, j])
-                squares[f"S[{i + 1},{j + 1}]^2"] = float(S2c[i, j])
-                for k in range(3):
-                    squares[f"Q[{i + 1},{j + 1},{k + 1}]^2"] = float(Q2c[i, j, k])
-            P = _row_product_matrix(R2c[i], WR[i], y2, beta, min_det, "R row products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"R[{i + 1},:]",
-                                    {f"R[{i + 1},{j + 1}]": float(v) for j, v in enumerate(vals)},
-                                    bool(zero)))
-            P = _row_product_matrix(S2c[i], WS[i], z2, gamma, min_det, "S row products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"S[{i + 1},:]",
-                                    {f"S[{i + 1},{j + 1}]": float(v) for j, v in enumerate(vals)},
-                                    bool(zero)))
-            slab_label = f"Q[{i + 1},:,:]"
-            mags = np.sqrt(Q2c[i])
-            edges = {}
+    for x in fr.slots:
+        i = x - 1
+        for j in range(3):
+            squares[f"{fr.key((x, j + 1, 0))}^2"] = float(C1[i, j])
+            squares[f"{fr.key((x, 0, j + 1))}^2"] = float(C2[i, j])
             for k in range(3):
-                P = _row_product_matrix(Q2c[i, :, k], U2[i, k], y2, beta,
-                                        min_det, "Q in-column products")
-                for (j, jp) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((j, k), (jp, k))] = P[j, jp]
-            for j in range(3):
-                P = _row_product_matrix(Q2c[i, j], U3[i, j], z2, gamma,
-                                        min_det, "Q in-row products")
-                for (k, kp) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((j, k), (j, kp))] = P[k, kp]
-            groups.extend(_slab_sign_groups(slab_label, mags, edges, square_floor))
-    elif vec == "b":
-        R2c = clamp_mat(R2, "R")
-        T2c = clamp_mat(T2, "T")
-        Q2c = np.array([clamp_mat(Q2[i], "Q") for i in range(3)])
-        WR = _per_s_vander_solve(fpd, sq_known, "sq:YRtXa:r={r},s={s}", lam_y4,
-                                 min_det, "R column sums")   # [j, s]
-        WT = _per_s_vander_solve(fpd, sq_known, "sq:YTZg:r={r},s={s}", lam_y4,
-                                 min_det, "T row sums")      # [j, s]
-        U1 = _per_t_grid_solve(fpd, sq_known, "sq:YZQ1Xa:r={r},s={s},t={t}",
-                               lam_y4, lam_z4, min_det, "Q in-column sums")  # [j, k, t]
-        U3 = _per_t_grid_solve(fpd, sq_known, "sq:XYQ3Zg:r={r},s={s},t={t}",
-                               lam_x4, lam_y4, min_det, "Q in-row sums")     # [i, j, t]
-        for j in rows:
-            for i in range(3):
-                squares[f"R[{i + 1},{j + 1}]^2"] = float(R2c[i, j])
-                squares[f"T[{j + 1},{i + 1}]^2"] = float(T2c[j, i])
-                for k in range(3):
-                    squares[f"Q[{i + 1},{j + 1},{k + 1}]^2"] = float(Q2c[i, j, k])
-            P = _row_product_matrix(R2c[:, j], WR[j], x2, alpha, min_det, "R column products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"R[:,{j + 1}]",
-                                    {f"R[{i + 1},{j + 1}]": float(v) for i, v in enumerate(vals)},
-                                    bool(zero)))
-            P = _row_product_matrix(T2c[j], WT[j], z2, gamma, min_det, "T row products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"T[{j + 1},:]",
-                                    {f"T[{j + 1},{k + 1}]": float(v) for k, v in enumerate(vals)},
-                                    bool(zero)))
-            slab_label = f"Q[:,{j + 1},:]"
-            mags = np.sqrt(Q2c[:, j, :])
-            edges = {}
-            for k in range(3):
-                P = _row_product_matrix(Q2c[:, j, k], U1[j, k], x2, alpha,
-                                        min_det, "Q in-column products")
-                for (i, ip) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((i, k), (ip, k))] = P[i, ip]
-            for i in range(3):
-                P = _row_product_matrix(Q2c[i, j], U3[i, j], z2, gamma,
-                                        min_det, "Q in-row products")
-                for (k, kp) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((i, k), (i, kp))] = P[k, kp]
-            groups.extend(_slab_sign_groups(slab_label, mags, edges, square_floor))
-    else:
-        S2c = clamp_mat(S2, "S")
-        T2c = clamp_mat(T2, "T")
-        Q2c = np.array([clamp_mat(Q2[i], "Q") for i in range(3)])
-        WS = _per_s_vander_solve(fpd, sq_known, "sq:ZStXa:r={r},s={s}", lam_z4,
-                                 min_det, "S column sums")   # [k, s]
-        WT = _per_s_vander_solve(fpd, sq_known, "sq:ZTtYb:r={r},s={s}", lam_z4,
-                                 min_det, "T column sums")   # [k, s]
-        U1 = _per_t_grid_solve(fpd, sq_known, "sq:YZQ1Xa:r={r},s={s},t={t}",
-                               lam_y4, lam_z4, min_det, "Q in-column sums")  # [j, k, t]
-        U2 = _per_t_grid_solve(fpd, sq_known, "sq:XZQ2Yb:r={r},s={s},t={t}",
-                               lam_x4, lam_z4, min_det, "Q in-row sums")     # [i, k, t]
-        for k in rows:
-            for i in range(3):
-                squares[f"S[{i + 1},{k + 1}]^2"] = float(S2c[i, k])
-                squares[f"T[{i + 1},{k + 1}]^2"] = float(T2c[i, k])
-                for j in range(3):
-                    squares[f"Q[{i + 1},{j + 1},{k + 1}]^2"] = float(Q2c[i, j, k])
-            P = _row_product_matrix(S2c[:, k], WS[k], x2, alpha, min_det, "S column products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"S[:,{k + 1}]",
-                                    {f"S[{i + 1},{k + 1}]": float(v) for i, v in enumerate(vals)},
-                                    bool(zero)))
-            P = _row_product_matrix(T2c[:, k], WT[k], y2, beta, min_det, "T column products")
-            vals, zero = _rank1_factor(P, square_floor)
-            groups.append(SignGroup(f"T[:,{k + 1}]",
-                                    {f"T[{j + 1},{k + 1}]": float(v) for j, v in enumerate(vals)},
-                                    bool(zero)))
-            slab_label = f"Q[:,:,{k + 1}]"
-            mags = np.sqrt(Q2c[:, :, k])
-            edges = {}
-            for j in range(3):
-                P = _row_product_matrix(Q2c[:, j, k], U1[j, k], x2, alpha,
-                                        min_det, "Q in-column products")
-                for (i, ip) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((i, j), (ip, j))] = P[i, ip]
-            for i in range(3):
-                P = _row_product_matrix(Q2c[i, :, k], U2[i, k], y2, beta,
-                                        min_det, "Q in-row products")
-                for (j, jp) in ((0, 1), (0, 2), (1, 2)):
-                    edges[((i, j), (i, jp))] = P[j, jp]
-            groups.extend(_slab_sign_groups(slab_label, mags, edges, square_floor))
-
+                squares[f"{fr.key((x, j + 1, k + 1))}^2"] = float(Q2[i, j, k])
+        groups.append(_row_group(
+            fr.key((x, ":", 0)), [fr.key((x, j, 0)) for j in _R3],
+            _row_product_matrix(C1[i], W1[i], spec[1], vec[1], min_det, "row products")))
+        groups.append(_row_group(
+            fr.key((x, 0, ":")), [fr.key((x, 0, k)) for k in _R3],
+            _row_product_matrix(C2[i], W2[i], spec[2], vec[2], min_det, "row products")))
+        edges = {}
+        for k in range(3):
+            prod = _row_product_matrix(Q2[i, :, k], U1[i, k], spec[1], vec[1],
+                                       min_det, "Q in-column products")
+            for (j, jp) in _PAIRS:
+                edges[((j, k), (jp, k))] = prod[j, jp]
+        for j in range(3):
+            prod = _row_product_matrix(Q2[i, j], U2[i, j], spec[2], vec[2],
+                                       min_det, "Q in-row products")
+            for (k, kp) in _PAIRS:
+                edges[((j, k), (j, kp))] = prod[k, kp]
+        groups.extend(_slab_sign_groups(fr.key((x, ":", ":")), np.sqrt(Q2[i]), edges,
+                                        lambda u, v: fr.key((x, u + 1, v + 1))))
     return TwoZeroRecovery("same-vector", squares, groups, notes)
 
 
-def recover_two_zero(fp, cf, min_det=MIN_DET, den_tol=1e-9, square_floor=1e-8):
+def recover_two_zero(fp, cf, min_det=MIN_DET):
     """Recover the components a two-zero canonical form leaves undetermined.
 
     Different vectors: one coupling entry and one fiber of Q, magnitudes from
@@ -713,7 +494,7 @@ def recover_two_zero(fp, cf, min_det=MIN_DET, den_tol=1e-9, square_floor=1e-8):
     """
     cls = cf.orbit_class
     if cls.kind == "two-zero-diff":
-        return _recover_diff(fp, cf, min_det, den_tol, square_floor)
+        return _recover_diff(_Frame(cf, fp), min_det)
     if cls.kind == "two-zero-same":
-        return _recover_same(fp, cf, min_det, square_floor)
+        return _recover_same(_Frame(cf, fp), min_det)
     raise WrongClassError(f"expected a two-zero class, got {cls.tag}")

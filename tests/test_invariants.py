@@ -158,6 +158,15 @@ def test_extras_closed_form_at_canonical_point(rng):
                 assert abs(extras[f"tri:a,Qbg:r={r},s={s}"] - pref * w) < 1e-10 * max(1, abs(pref * w))
 
 
+def test_extras_of_each_vector_are_the_alpha_extras_after_relabeling(rng):
+    for _ in range(20):
+        b = physical_bloch(rng)
+        for vec, perm in (("a", (0, 1, 2)), ("b", (1, 0, 2)), ("g", (2, 0, 1))):
+            direct = np.array([v for _, v in single_zero_extras(b, vec)])
+            relabeled = np.array([v for _, v in single_zero_extras(b.permute(perm), "a")])
+            assert np.max(np.abs(direct - relabeled)) <= 1e-14 * np.max(np.abs(direct))
+
+
 def test_all_invariants_are_rotation_invariant(rng):
     for _ in range(30):
         b = physical_bloch(rng)

@@ -1,5 +1,7 @@
 """Pauli expansion against a brute-force oracle built independently here."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lu3q import (BlochTensor, FormatError, NotHermitianError,
                   TraceNotOneError, bloch_from_dict, bloch_to_dict, decompose,
                   density_from_dict, density_to_dict, ghz_state, pauli_string,
                   reconstruct, validate_density)
+from lu3q.pauli import component_key
 from conftest import random_bloch, random_density
 
 # oracle: independent Pauli matrices and kron-loop strings
@@ -153,3 +156,37 @@ def test_density_dict_rejects_malformed():
         density_from_dict({"dim": 4, "matrix": [[[1.0, 0.0]] * 4] * 4})
     with pytest.raises(FormatError):
         density_from_dict({"matrix": "nope"})
+
+
+PERMUTATIONS = list(itertools.permutations(range(3)))
+
+
+def test_permute_round_trip(rng):
+    b = random_bloch(rng)
+    for perm in PERMUTATIONS:
+        again = b.permute(perm).permute(np.argsort(perm))
+        assert np.array_equal(again.components(), b.components())
+    swapped = b.permute((1, 0, 2))
+    assert np.array_equal(swapped.alpha, b.beta) and np.array_equal(swapped.R, b.R.T)
+    assert np.array_equal(swapped.S, b.T) and np.array_equal(swapped.Q, b.Q.transpose(1, 0, 2))
+    with pytest.raises(ValueError):
+        b.permute((0, 0, 1))
+
+
+def test_permute_matches_qubit_swap_of_density(rng):
+    """Oracle: reorder the tensor factors of the 8x8 matrix directly."""
+    for _ in range(5):
+        b = random_bloch(rng)
+        rho = reconstruct(b).reshape((2,) * 6)
+        for perm in PERMUTATIONS:
+            swapped = rho.transpose(*perm, *(3 + p for p in perm)).reshape(8, 8)
+            assert np.max(np.abs(reconstruct(b.permute(perm)) - swapped)) < 1e-15
+
+
+def test_component_key():
+    assert component_key((2, 3, 0)) == "R[2,3]"
+    assert component_key((1, 0, ":")) == "S[1,:]"
+    assert component_key((0, 3, 1)) == "T[3,1]"
+    assert component_key((":", 2, ":")) == "Q[:,2,:]"
+    with pytest.raises(ValueError):
+        component_key((1, 0, 0))

@@ -1,12 +1,14 @@
 """SU(2) adjoint map, Haar sampling and the conjugation oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lu3q import (BlochTensor, LocalRotation, NotRotationError,
                   NotSpecialUnitaryError, act, adjoint, conjugate, decompose,
                   haar_su2, reconstruct)
-from conftest import physical_bloch, random_density
+from conftest import physical_bloch, random_bloch, random_density
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -105,3 +107,14 @@ def test_identity_rotation_is_neutral(rng):
     b = physical_bloch(rng)
     same = act(b, LocalRotation.identity())
     assert np.max(np.abs(same.components() - b.components())) == 0.0
+
+
+def test_permute_commutes_with_act(rng):
+    b = random_bloch(rng)
+    rot = LocalRotation.random(rng)
+    mats = (rot.L, rot.M, rot.N)
+    for perm in itertools.permutations(range(3)):
+        relabeled = LocalRotation(*(mats[p] for p in perm))
+        lhs = act(b, rot).permute(perm)
+        rhs = act(b.permute(perm), relabeled)
+        assert np.max(np.abs(lhs.components() - rhs.components())) < 1e-12
