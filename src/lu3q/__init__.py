@@ -13,9 +13,9 @@ from .errors import (FormatError, InconsistentInvariantsError,
                      NotHermitianError, NotRotationError,
                      NotSpecialUnitaryError, SingularSystemError,
                      TraceNotOneError, WrongClassError)
-from .invariants import (Fingerprint, all_invariants, first_mismatch,
-                         full_fingerprint, generic_fingerprint, q_trilinear,
-                         q_trilinear_flat, sign_resolution,
+from .invariants import (Fingerprint, all_invariants, fingerprint_families,
+                         first_mismatch, full_fingerprint, generic_fingerprint,
+                         q_trilinear, q_trilinear_flat, sign_resolution,
                          single_zero_extras, squared_family)
 from .pauli import (BlochTensor, bloch_from_dict, bloch_to_dict, decompose,
                     density_from_dict, density_to_dict, pauli_string,
@@ -40,7 +40,8 @@ __all__ = [
     "WrongClassError", "act", "adjoint", "all_invariants", "bloch_from_dict",
     "bloch_to_dict", "bloch_to_json", "canonicalize", "classify", "conjugate",
     "decompose", "density_from_dict", "density_to_dict", "density_to_json",
-    "dumps", "equivalent", "example_state", "first_mismatch", "flatten",
+    "dumps", "equivalent", "example_state", "fingerprint_families",
+    "first_mismatch", "flatten",
     "full_fingerprint", "generic_fingerprint", "ghz_state", "gram",
     "haar_su2", "kron", "load_input", "loads_state", "min_eigenvalue",
     "pauli_string", "product_state", "q_trilinear", "q_trilinear_flat",

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (all_invariants, Fingerprint, first_mismatch,
-                         full_fingerprint, generic_fingerprint)
+from .invariants import Fingerprint, fingerprint_families, first_mismatch
+# Unused here; kept importable because bench/spans.py wraps them in this module.
+from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
 from .pauli import BlochTensor, decompose
 from .rotations import LocalRotation, act
 from .tensor_ops import gram
@@ -184,69 +185,56 @@ def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     return canonicalize(b, zero_tol, deg_tol).orbit_class
 
 
-def _close(a, b, tols):
-    return abs(a - b) <= tols.tol_abs + tols.tol_rel * max(abs(a), abs(b))
+def _stages(rho, b, spectra, orbit_class):
+    """Entry lists that equivalent compares in turn: the generic family, the
+    density and Gram spectra, then the other families of orbit_class."""
+    families = fingerprint_families(b, orbit_class)
+    yield next(families)
+    ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    entries = [(f"spec:rho[{i}]", float(x)) for i, x in enumerate(ev)]
+    for name, s in zip("XYZ", spectra):
+        entries += [(f"spec:{name}[{i}]", x) for i, x in enumerate(s)]
+    yield entries
+    yield from families
 
 
 def equivalent(rho1, rho2, tols=None):
     """Decide local-unitary equivalence of two density matrices.
 
     Verdicts: "equivalent", "inequivalent" (with the first differing
-    invariant as witness), "equivalent-up-to-sign" (two-zero classes whose
-    sign-resolution invariants all vanish), "inconclusive" (degenerate or
-    other classes with equal fingerprints, or mismatched classes with no
-    differing invariant).  Symmetric in its arguments.
+    invariant or spectrum entry as witness), "equivalent-up-to-sign"
+    (two-zero classes whose sign-resolution invariants all vanish),
+    "inconclusive" (degenerate or other classes with equal fingerprints, or
+    mismatched classes with no differing invariant).  The generic family is
+    compared first, then the spectra, then the rest of the class
+    fingerprint, or of all 339 invariants when the classes differ.
+    Symmetric in its arguments.
     """
     tols = tols or Tolerances()
-    b1, b2 = decompose(rho1), decompose(rho2)
-
-    fp1, fp2 = generic_fingerprint(b1), generic_fingerprint(b2)
-    cf1 = canonicalize(b1, tols.zero_tol, tols.deg_tol)
-    cf2 = canonicalize(b2, tols.zero_tol, tols.deg_tol)
-    classes = (cf1.orbit_class.tag, cf2.orbit_class.tag)
-
-    diff = first_mismatch(fp1, fp2, tols.tol_abs, tols.tol_rel)
-    if diff is not None:
-        return Verdict("inequivalent", diff[0], classes,
-                       f"{diff[0]}: {diff[1]:.12g} vs {diff[2]:.12g}")
-
-    ev1 = np.linalg.eigvalsh(np.asarray(rho1, dtype=complex))
-    ev2 = np.linalg.eigvalsh(np.asarray(rho2, dtype=complex))
-    for i in range(8):
-        if not _close(ev1[i], ev2[i], tols):
-            return Verdict("inequivalent", f"spec:rho[{i}]", classes,
-                           f"state spectra differ at position {i}")
-    for name, s1, s2 in zip("XYZ", cf1.orbit_class.spectra, cf2.orbit_class.spectra):
-        for i in range(3):
-            if not _close(s1[i], s2[i], tols):
-                return Verdict("inequivalent", f"spec:{name}[{i}]", classes,
-                               f"Gram spectra of {name} differ at position {i}")
-
-    if not cf1.orbit_class.matches(cf2.orbit_class):
-        all1 = Fingerprint("all", all_invariants(b1))
-        all2 = Fingerprint("all", all_invariants(b2))
-        diff = first_mismatch(all1, all2, tols.tol_abs, tols.tol_rel)
+    bs = (decompose(rho1), decompose(rho2))
+    c1, c2 = (canonicalize(b, tols.zero_tol, tols.deg_tol).orbit_class for b in bs)
+    classes = (c1.tag, c2.tag)
+    same = c1.matches(c2)
+    stages = [_stages(rho, b, c.spectra, c1 if same else None)
+              for rho, b, c in zip((rho1, rho2), bs, (c1, c2))]
+    compared = []
+    for e1, e2 in zip(*stages):
+        diff = first_mismatch(Fingerprint(classes[0], e1), Fingerprint(classes[1], e2),
+                              tols.tol_abs, tols.tol_rel)
         if diff is not None:
-            return Verdict("inequivalent", diff[0], classes,
-                           f"{diff[0]}: {diff[1]:.12g} vs {diff[2]:.12g}")
+            name, v1, v2 = diff
+            return Verdict("inequivalent", name, classes, f"{name}: {v1:.12g} vs {v2:.12g}")
+        compared += e1 + e2
+
+    if not same:
         return Verdict("inconclusive", None, classes,
                        f"orbit classes differ ({classes[0]} vs {classes[1]}) "
                        "but no listed invariant separates the states")
-
-    kind = cf1.orbit_class.kind
-    if kind != "generic":
-        ffp1 = full_fingerprint(b1, cf1.orbit_class)
-        ffp2 = full_fingerprint(b2, cf1.orbit_class)
-        diff = first_mismatch(ffp1, ffp2, tols.tol_abs, tols.tol_rel)
-        if diff is not None:
-            return Verdict("inequivalent", diff[0], classes,
-                           f"{diff[0]}: {diff[1]:.12g} vs {diff[2]:.12g}")
+    kind = c1.kind
     if kind in ("generic", "single-zero"):
         return Verdict("equivalent", None, classes)
     if kind in ("two-zero-diff", "two-zero-same"):
-        sgn_max = max(max(abs(v) for n, v in ffp1.entries if n.startswith("sgn:")),
-                      max(abs(v) for n, v in ffp2.entries if n.startswith("sgn:")))
-        if sgn_max <= tols.tol_abs:
+        if max(abs(v) for n, v in compared if n.startswith("sgn:")) <= tols.tol_abs:
             return Verdict("equivalent-up-to-sign", None, classes,
                            "all sign-resolution invariants vanish; residual signs undetermined")
         return Verdict("equivalent", None, classes)

@@ -27,7 +27,7 @@ from .errors import (FormatError, InconsistentInvariantsError,
                      NotHermitianError, NotRotationError,
                      NotSpecialUnitaryError, SingularSystemError,
                      TraceNotOneError, WrongClassError)
-from .invariants import all_invariants, full_fingerprint
+from .invariants import Fingerprint, all_invariants, first_mismatch, full_fingerprint
 from .pauli import component_key, decompose, reconstruct
 from .recover import recover_two_zero, solve_single_zero
 from .rotations import LocalRotation, act, conjugate, haar_su2
@@ -163,7 +163,7 @@ def _cmd_orbit_test(args):
         raise FormatError("--trials must be at least 1")
     b, rho = _load_state(args.input)
     rng = np.random.default_rng(args.seed)
-    base = np.array([v for _, v in all_invariants(b)])
+    base = Fingerprint("all", all_invariants(b))
 
     max_dev = 0.0
     max_mismatch = 0.0
@@ -176,10 +176,9 @@ def _cmd_orbit_test(args):
             L[0, 1] += 0.05
             rot = types.SimpleNamespace(L=L, M=rot.M, N=rot.N)
         b_rot = act(b, rot)
-        vals = np.array([v for _, v in all_invariants(b_rot)])
-        dev = np.abs(vals - base)
-        max_dev = max(max_dev, float(dev.max()))
-        if np.any(dev > tols.tol_abs + tols.tol_rel * np.maximum(np.abs(vals), np.abs(base))):
+        fp = Fingerprint("all", all_invariants(b_rot))
+        max_dev = max(max_dev, float(np.abs(fp.values() - base.values()).max()))
+        if first_mismatch(base, fp, tols.tol_abs, tols.tol_rel) is not None:
             ok = False
         b_oracle = decompose(conjugate(rho, u1, u2, u3))
         b_direct = act(b, LocalRotation.from_su2(u1, u2, u3))

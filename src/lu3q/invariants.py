@@ -38,6 +38,7 @@ __all__ = [
     "sign_resolution",
     "all_invariants",
     "full_fingerprint",
+    "fingerprint_families",
     "first_mismatch",
     "q_trilinear",
     "q_trilinear_flat",
@@ -255,7 +256,7 @@ class Fingerprint:
 
 def generic_fingerprint(b):
     """The 75 generic invariants, as a Fingerprint tagged "generic"."""
-    return Fingerprint("generic", _generic_entries(_Ctx(b)))
+    return Fingerprint("generic", next(fingerprint_families(b)))
 
 
 def single_zero_extras(b, vector, grams=None):
@@ -275,34 +276,36 @@ def sign_resolution(b, grams=None):
     return _sign_entries(_Ctx(b, grams))
 
 
-def _all_entries(ctx):
-    out = _generic_entries(ctx)
-    for q in range(3):
-        out += _extras_entries(ctx, q)
-    return out + _squared_entries(ctx) + _sign_entries(ctx)
+def fingerprint_families(b, orbit_class=None):
+    """Entry lists of the families in a class's fingerprint, in fingerprint order.
+
+    One context serves every family, and each family is evaluated only when
+    it is reached.  generic -> the 75 generic invariants; single-zero -> those
+    and the 15 extras of the zero vector; any other class, or None -> all 339
+    (generic, the extras of a, b and g, squared, sign; every entry is a
+    genuine invariant on any tensor).
+    """
+    ctx = _Ctx(b)
+    yield _generic_entries(ctx)
+    kind = getattr(orbit_class, "kind", None)
+    if kind == "single-zero":
+        yield _extras_entries(ctx, _VEC_NAMES.index(orbit_class.slots[0][0]))
+    elif kind != "generic":
+        for q in range(3):
+            yield _extras_entries(ctx, q)
+        yield _squared_entries(ctx)
+        yield _sign_entries(ctx)
 
 
 def all_invariants(b):
     """Every invariant the package defines: 75 + 3*15 + 189 + 30 = 339 entries."""
-    return _all_entries(_Ctx(b))
+    return list(itertools.chain.from_iterable(fingerprint_families(b)))
 
 
 def full_fingerprint(b, orbit_class):
-    """Class-dependent fingerprint.
-
-    generic -> 75 entries; single-zero -> 90 (75 + the matching extras);
-    two-zero, degenerate and other classes -> all 339 entries (the full
-    conservative set; every entry is a genuine invariant on any tensor).
-    """
-    ctx = _Ctx(b)
-    if orbit_class.kind == "generic":
-        entries = _generic_entries(ctx)
-    elif orbit_class.kind == "single-zero":
-        q = _VEC_NAMES.index(orbit_class.slots[0][0])
-        entries = _generic_entries(ctx) + _extras_entries(ctx, q)
-    else:
-        entries = _all_entries(ctx)
-    return Fingerprint(orbit_class.tag, entries)
+    """Class-dependent fingerprint: the families fingerprint_families lists for the class."""
+    return Fingerprint(orbit_class.tag, list(itertools.chain.from_iterable(
+        fingerprint_families(b, orbit_class))))
 
 
 def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):

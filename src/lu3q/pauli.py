@@ -71,14 +71,22 @@ def _as_matrix(rho):
     return rho
 
 
-def validate_density(rho, tol=HERMITICITY_TOL):
-    """Check Hermiticity and unit trace of an 8x8 matrix.
+def _finite(arr, what):
+    """arr, or FormatError if it holds a NaN or an infinity (also from an overflow)."""
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{what} must be finite numbers (NaN or infinity found)")
+    return arr
 
-    Raises NotHermitianError or TraceNotOneError with the measured deviation.
-    Positivity is deliberately not enforced here; use states.min_eigenvalue
-    to report it.  Returns the validated complex array.
+
+def validate_density(rho, tol=HERMITICITY_TOL):
+    """Check finiteness, Hermiticity and unit trace of an 8x8 matrix.
+
+    Raises FormatError for a NaN or infinite entry, NotHermitianError or
+    TraceNotOneError with the measured deviation.  Positivity is
+    deliberately not enforced here; use states.min_eigenvalue to report it.
+    Returns the validated complex array.
     """
-    rho = _as_matrix(rho)
+    rho = _finite(_as_matrix(rho), "density matrix entries")
     herm_dev = np.abs(rho - rho.conj().T).max()
     if herm_dev > tol:
         raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {tol:.1e}")
@@ -230,7 +238,7 @@ def density_from_dict(data):
     arr = np.asarray(data["matrix"], dtype=float)
     if arr.shape != (8, 8, 2):
         raise FormatError(f"matrix must be 8x8 with [re, im] entries, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _finite(arr[..., 0] + 1j * arr[..., 1], "density matrix entries")
 
 
 def bloch_to_dict(b):
@@ -249,7 +257,7 @@ def bloch_from_dict(data):
     if not isinstance(data, dict) or "alpha" not in data:
         raise FormatError('coefficient payload must be an object with an "alpha" key')
     try:
-        return BlochTensor(
+        b = BlochTensor(
             alpha=np.asarray(data["alpha"], dtype=float),
             beta=np.asarray(data["beta"], dtype=float),
             gamma=np.asarray(data["gamma"], dtype=float),
@@ -260,3 +268,5 @@ def bloch_from_dict(data):
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad coefficient payload: {exc}") from exc
+    _finite(b.components(), "coefficients")
+    return b

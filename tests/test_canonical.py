@@ -128,6 +128,24 @@ def test_two_zero_with_sign_information_is_equivalent(rng):
     assert v.verdict == "equivalent"
 
 
+@pytest.mark.parametrize("case", ["two-zero", "identity"])
+def test_equivalent_builds_one_invariant_context_per_state(case, rng, monkeypatch):
+    """Every family is evaluated from one context per state, whichever path runs."""
+    import lu3q.invariants
+
+    calls = []
+    real_gram = lu3q.invariants.gram
+    monkeypatch.setattr(lu3q.invariants, "gram", lambda q: calls.append(q) or real_gram(q))
+    if case == "two-zero":
+        rho = reconstruct(zeroed_tensor(rng, [("a", 0), ("b", 1)]))
+    else:
+        rho = np.eye(8, dtype=complex) / 8
+    v = equivalent(rho, conjugate(rho, haar_su2(rng), haar_su2(rng), haar_su2(rng)))
+    # the rotated copy of I/8 classifies by rounding noise and takes the all-invariant path
+    assert v.verdict == ("equivalent" if case == "two-zero" else "inconclusive")
+    assert len(calls) == 2
+
+
 def test_degenerate_agreement_is_inconclusive():
     v = equivalent(ghz_state(), ghz_state())
     assert v.verdict == "inconclusive"

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -167,12 +168,25 @@ def test_reconstruct_generic_is_compute_error(tmp_path, rng, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_json_exit_three(tmp_path, capsys):
+def test_malformed_json_exit_three(tmp_path, rng, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["fingerprint", str(path)]) == 3
     assert main(["compare", str(path), str(path)]) == 3
     capsys.readouterr()
+    # non-finite numbers: Python's json reads NaN and Infinity, and 1e400 overflows to inf
+    density = serialize.density_to_json(example_state(0.1, 0.0, 0.2))
+    bloch = serialize.bloch_to_json(physical_bloch(rng))
+    for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+        bad_density, bad_bloch = tmp_path / "bad_density.json", tmp_path / "bad_bloch.json"
+        # the first number of each file becomes the token
+        bad_density.write_text(re.sub(r"\[[^\[\],]+", "[" + token, density, count=1))
+        bad_bloch.write_text(re.sub(r"\[[^\[\],]+", "[" + token, bloch, count=1))
+        for args in (["decompose", str(bad_density)], ["fingerprint", str(bad_density)],
+                     ["compare", str(bad_density), str(bad_density)],
+                     ["fingerprint", str(bad_bloch)], ["compare", str(bad_bloch), str(bad_bloch)]):
+            assert main(args) == 3, (token, args)
+            assert "finite" in capsys.readouterr().err
 
 
 def test_missing_file_exit_three(tmp_path, capsys):

@@ -121,6 +121,17 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.eye(4, dtype=complex) / 4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_validate_density_rejects_non_finite_entries(value):
+    """NaN fails every comparison, so without this check it passes the Hermiticity test."""
+    rho = np.eye(8, dtype=complex) / 8
+    rho[2, 5] = rho[5, 2] = value
+    with pytest.raises(FormatError, match="finite"):
+        validate_density(rho)
+    with pytest.raises(FormatError, match="finite"):
+        decompose(rho)
+
+
 def test_bloch_tensor_shape_validation():
     with pytest.raises(ValueError):
         BlochTensor(np.zeros(4), np.zeros(3), np.zeros(3), np.zeros((3, 3)),
