@@ -26,8 +26,8 @@ from .recover import (SignGroup, SingleZeroSolution, TwoZeroRecovery,
 from .rotations import LocalRotation, act, adjoint, conjugate, haar_su2
 from .serialize import bloch_to_json, density_to_json, dumps, load_input, loads_state
 from .states import (example_state, ghz_state, min_eigenvalue, product_state,
-                     random_mixed, standard_state, w_state)
-from .tensor_ops import flatten, gram, kron, refold, triple, triple_cofactor
+                     random_mixed, w_state)
+from .tensor_ops import flatten, gram, refold, triple, triple_cofactor
 
 __version__ = "0.1.0"
 
@@ -43,10 +43,10 @@ __all__ = [
     "dumps", "equivalent", "example_state", "fingerprint_families",
     "first_mismatch", "flatten",
     "full_fingerprint", "generic_fingerprint", "ghz_state", "gram",
-    "haar_su2", "kron", "load_input", "loads_state", "min_eigenvalue",
+    "haar_su2", "load_input", "loads_state", "min_eigenvalue",
     "pauli_string", "product_state", "q_trilinear", "q_trilinear_flat",
     "random_mixed", "reconstruct",
     "recover_two_zero", "refold", "sign_resolution", "single_zero_extras",
-    "solve_single_zero", "squared_family", "standard_state", "triple",
+    "solve_single_zero", "squared_family", "triple",
     "triple_cofactor", "validate_density", "vandermonde_system", "w_state",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import Fingerprint, fingerprint_families, first_mismatch
+from .invariants import TOL_ABS, TOL_REL, Fingerprint, fingerprint_families, first_mismatch
 # Unused here; kept importable because bench/spans.py wraps them in this module.
 from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
 from .pauli import BlochTensor, decompose
@@ -45,16 +45,18 @@ _SIGN_CHOICES = (
 
 @dataclass(frozen=True)
 class Tolerances:
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-8
+    """The four comparison thresholds; each must be a positive finite number."""
+
+    tol_abs: float = TOL_ABS
+    tol_rel: float = TOL_REL
     zero_tol: float = ZERO_TOL
     deg_tol: float = DEG_TOL
 
     def __post_init__(self):
         for name in ("tol_abs", "tol_rel", "zero_tol", "deg_tol"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative finite number, got {value}")
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,8 @@ def _diagonalizing_rotation(g):
     return w, v.T
 
 
-def _lex_sign(vec, zero_tol):
-    """Sign triple (det +1) maximizing vec lexicographically, zeros skipped."""
-    mask = np.abs(vec) > zero_tol
+def _lex_sign(vec, mask):
+    """Sign triple (det +1) maximizing vec[mask] lexicographically."""
     best = _SIGN_CHOICES[0]
     best_key = tuple((best * vec)[mask])
     for cand in _SIGN_CHOICES[1:]:
@@ -130,7 +131,8 @@ def _lex_sign(vec, zero_tol):
     return best
 
 
-def _classify(spectra, b_canonical, zero_tol, deg_tol):
+def _classify(spectra, masks, deg_tol):
+    """Orbit class from the Gram spectra and the non-zero masks of alpha, beta, gamma."""
     scale = max(float(s[0]) for s in spectra)
     spectra_t = tuple(tuple(float(x) for x in s) for s in spectra)
     for name, s in zip("XYZ", spectra):
@@ -139,13 +141,7 @@ def _classify(spectra, b_canonical, zero_tol, deg_tol):
             if gap <= deg_tol * scale:
                 reason = f"{name} gap {i + 1}"
                 return OrbitClass("degenerate", (), reason, spectra_t)
-    slots = []
-    for vn, v in (("a", b_canonical.alpha), ("b", b_canonical.beta),
-                  ("g", b_canonical.gamma)):
-        for i in range(3):
-            if abs(v[i]) <= zero_tol:
-                slots.append((vn, i + 1))
-    slots = tuple(slots)
+    slots = tuple((vn, i + 1) for vn, mask in zip("abg", masks) for i in range(3) if not mask[i])
     if len(slots) == 0:
         return OrbitClass("generic", (), "", spectra_t)
     if len(slots) == 1:
@@ -168,15 +164,16 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     wy, M = _diagonalizing_rotation(Y)
     wz, N = _diagonalizing_rotation(Z)
     b1 = act(b, LocalRotation(L, M, N))
-    dl = _lex_sign(b1.alpha, zero_tol)
-    dm = _lex_sign(b1.beta, zero_tol)
-    dn = _lex_sign(b1.gamma, zero_tol)
+    vecs = (b1.alpha, b1.beta, b1.gamma)
+    # one structural-zero test; the sign flips below keep every |component|
+    masks = [np.abs(v) > zero_tol for v in vecs]
+    dl, dm, dn = (_lex_sign(v, m) for v, m in zip(vecs, masks))
     rot = LocalRotation(dl[:, None] * L, dm[:, None] * M, dn[:, None] * N)
     # act(b, rot) is b1 with the sign triples applied, and flipping signs is exact
     b2 = BlochTensor(dl * b1.alpha, dm * b1.beta, dn * b1.gamma,
                      dl[:, None] * b1.R * dm, dl[:, None] * b1.S * dn, dm[:, None] * b1.T * dn,
                      dl[:, None, None] * dm[:, None] * dn * b1.Q)
-    cls = _classify((wx, wy, wz), b2, zero_tol, deg_tol)
+    cls = _classify((wx, wy, wz), masks, deg_tol)
     return CanonicalForm(b2, rot, cls)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import flatten, gram, kron, triple_cofactor
+from .tensor_ops import flatten, gram, triple_cofactor
 
 __all__ = [
     "Fingerprint",
@@ -333,5 +333,5 @@ def q_trilinear_flat(b, r, s, t):
     """Same contraction through the axis-1 flattening and a Kronecker product."""
     ctx = _Ctx(b)
     q1 = flatten(b.Q, 1)
-    big = kron(ctx.P[1][s - 1], ctx.P[2][t - 1])
-    return float(ctx.V[0][:, r - 1] @ q1 @ big @ kron(b.beta, b.gamma))
+    big = np.kron(ctx.P[1][s - 1], ctx.P[2][t - 1])
+    return float(ctx.V[0][:, r - 1] @ q1 @ big @ np.kron(b.beta, b.gamma))

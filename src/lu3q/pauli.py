@@ -78,7 +78,17 @@ def _finite(arr, what):
     return arr
 
 
-def validate_density(rho, tol=HERMITICITY_TOL):
+def _hermitian(rho):
+    """rho as a complex 8x8 array; FormatError unless finite, NotHermitianError unless Hermitian."""
+    rho = _finite(_as_matrix(rho), "density matrix entries")
+    herm_dev = np.abs(rho - rho.conj().T).max()
+    if herm_dev > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"Hermiticity deviation {herm_dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    return rho
+
+
+def validate_density(rho):
     """Check finiteness, Hermiticity and unit trace of an 8x8 matrix.
 
     Raises FormatError for a NaN or infinite entry, NotHermitianError or
@@ -86,13 +96,11 @@ def validate_density(rho, tol=HERMITICITY_TOL):
     deliberately not enforced here; use states.min_eigenvalue to report it.
     Returns the validated complex array.
     """
-    rho = _finite(_as_matrix(rho), "density matrix entries")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > tol:
-        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {tol:.1e}")
+    rho = _hermitian(rho)
     trace_dev = abs(rho.trace() - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOneError(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.1e})")
+    if trace_dev > HERMITICITY_TOL:
+        raise TraceNotOneError(
+            f"trace deviates from 1 by {trace_dev:.3e} (tol {HERMITICITY_TOL:.1e})")
     return rho
 
 
@@ -142,9 +150,6 @@ class BlochTensor:
         return cls(vec[0:3], vec[3:6], vec[6:9],
                    vec[9:18].reshape(3, 3), vec[18:27].reshape(3, 3),
                    vec[27:36].reshape(3, 3), vec[36:63].reshape(3, 3, 3))
-
-    def allclose(self, other, atol=1e-12):
-        return bool(np.allclose(self.components(), other.components(), atol=atol, rtol=0.0))
 
     def permute(self, perm):
         """Relabel the qubits: qubit i of the result is qubit perm[i] of self.
@@ -204,13 +209,13 @@ def component_key(idx):
     return _KEY_MATRIX[support] + "[" + ",".join(str(i) for i in idx if i != 0) + "]"
 
 
-def decompose(rho, tol=HERMITICITY_TOL):
+def decompose(rho):
     """Expand a validated density matrix in the Pauli basis.
 
     Returns the BlochTensor of all 63 non-identity coefficients.  The map is
     linear in rho; decompose(reconstruct(b)) == b up to rounding.
     """
-    rho = validate_density(rho, tol)
+    rho = validate_density(rho)
     return _from_coefficients(np.einsum("ijkab,ba->ijk", _STRINGS, rho).real)
 
 
@@ -235,7 +240,10 @@ def density_from_dict(data):
         raise FormatError('density payload must be an object with a "matrix" key')
     if data.get("dim") != 8:
         raise FormatError(f'expected "dim": 8, got {data.get("dim")!r}')
-    arr = np.asarray(data["matrix"], dtype=float)
+    try:
+        arr = np.asarray(data["matrix"], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"matrix entries must be numbers in an 8x8x2 array: {exc}") from exc
     if arr.shape != (8, 8, 2):
         raise FormatError(f"matrix must be 8x8 with [re, im] entries, got shape {arr.shape}")
     return _finite(arr[..., 0] + 1j * arr[..., 1], "density matrix entries")

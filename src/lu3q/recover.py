@@ -55,7 +55,7 @@ __all__ = [
     "recover_two_zero",
 ]
 
-MIN_DET = 1e-10
+MIN_DET = 1e-10        # smallest relative determinant a solve accepts
 SQUARE_FLOOR = -1e-9   # a solved square below this is inconsistent
 ZERO_SQUARE = 1e-8     # a solved square at or below this is an exact zero
 SIGN_DEN_TOL = 1e-9    # smallest sign-invariant response that fixes a sign
@@ -78,14 +78,14 @@ def _rel_det(mat):
     return float(abs(np.linalg.det(mat)) / scale ** n)
 
 
-def _checked_solve(mats, rhs, what, min_det):
+def _checked_solve(mats, rhs, what):
     """Solve the Kronecker product of mats against rhs, gating singularity on each factor."""
     for i, m in enumerate(mats):
         rd = _rel_det(m)
-        if rd < min_det:
+        if rd < MIN_DET:
             factor = f"factor {i + 1} " if len(mats) > 1 else ""
             raise SingularSystemError(
-                f"{what}: {factor}relative determinant {rd:.3e} below {min_det:.1e}", rd)
+                f"{what}: {factor}relative determinant {rd:.3e} below {MIN_DET:.1e}", rd)
     return np.linalg.solve(functools.reduce(np.kron, mats), rhs)
 
 
@@ -134,7 +134,7 @@ class _Frame:
         except KeyError as exc:
             raise ValueError(f"fingerprint lacks entry {exc} needed for {what}") from exc
 
-    def grid_solve(self, known, name, qubits, lams, what, min_det):
+    def grid_solve(self, known, name, qubits, lams, what):
         """Solve values(r, s, ...) = (lams[0] x lams[1] x ...) M for M.
 
         Axis a of M and argument a of name belong to frame qubit qubits[a].
@@ -148,7 +148,7 @@ class _Frame:
         names = np.array([name(*powers) for powers in itertools.product(_R3, repeat=len(shape))],
                          dtype=object).reshape(shape)
         d = self.measured(known, names.transpose(order).ravel(), what)
-        sol = _checked_solve([lams[a] for a in order], d, what, min_det)
+        sol = _checked_solve([lams[a] for a in order], d, what)
         return sol.reshape(shape).transpose(np.argsort(order))
 
 
@@ -216,7 +216,7 @@ class SingleZeroSolution:
         return _from_coefficients(vals).permute(np.argsort(perm))
 
 
-def solve_single_zero(fp, cf, min_det=MIN_DET):
+def solve_single_zero(fp, cf):
     """Solve the Vandermonde systems for a single-zero canonical form.
 
     Returns a SingleZeroSolution; raises WrongClassError for other classes
@@ -231,7 +231,7 @@ def solve_single_zero(fp, cf, min_det=MIN_DET):
     gv = gram(cf.tensor.Q)[zq]
     pref = triple_cofactor(v, gv @ v)[p - 1]
     pref_scale = float(np.linalg.norm(v) ** 2 * max(np.max(np.diag(gv)), 0.0))
-    if abs(pref) < min_det * max(pref_scale, 1e-300):
+    if abs(pref) < MIN_DET * max(pref_scale, 1e-300):
         raise SingularSystemError(
             f"triple-product prefactor {pref:.3e} too small to solve", abs(pref))
 
@@ -244,9 +244,9 @@ def solve_single_zero(fp, cf, min_det=MIN_DET):
     rhsq = fr.measured(known, [extra_q_name(zq, r, s) for r in _R3 for s in _R3],
                        "single-zero solve") / pref
 
-    first = _checked_solve((A1,), rhs[0], "first coupling system", min_det)
-    second = _checked_solve((A2,), rhs[1], "second coupling system", min_det)
-    q_slab = _checked_solve((A1, A2), rhsq, "Q slab system", min_det).reshape(3, 3)
+    first = _checked_solve((A1,), rhs[0], "first coupling system")
+    second = _checked_solve((A2,), rhs[1], "second coupling system")
+    q_slab = _checked_solve((A1, A2), rhsq, "Q slab system").reshape(3, 3)
     targets = tuple(fr.key(idx) for idx in ((p, ":", 0), (p, 0, ":"), (p, ":", ":")))
     return SingleZeroSolution(_VECTORS[zq], p, first, second, q_slab, targets)
 
@@ -270,7 +270,7 @@ class TwoZeroRecovery:
     notes: list
 
 
-def _row_product_matrix(row_squares, w2_row, spec, weights, min_det, what):
+def _row_product_matrix(row_squares, w2_row, spec, weights, what):
     """Product matrix P_jk = x_j x_k of one row x from its squares and squared sums.
 
     The squared sums obey w2_row[tau] = sum_jk (spec_j spec_k)^tau w_j w_k P_jk,
@@ -280,7 +280,7 @@ def _row_product_matrix(row_squares, w2_row, spec, weights, min_det, what):
                      for tau in range(3)])
     B = np.array([[2.0 * (spec[j] * spec[k]) ** tau * weights[j] * weights[k]
                    for (j, k) in _PAIRS] for tau in range(3)])
-    offdiag = _checked_solve((B,), w2_row - diag, what, min_det)
+    offdiag = _checked_solve((B,), w2_row - diag, what)
     P = np.diag(row_squares)
     for (j, k), val in zip(_PAIRS, offdiag):
         P[j, k] = P[k, j] = val
@@ -303,13 +303,13 @@ def _row_group(label, keys, P):
     return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, bool(zero))
 
 
-def _resolve_linear_sign(fpd, t_known, t_unit, names, grams):
+def _resolve_linear_sign(fpd, sgn_known, t_unit, names, grams):
     """Best sign estimate from invariants linear in the unknown block.
 
-    Returns (value, resolved): value solves measured = known + value*unit
-    using the equation with the largest unit contribution.
+    sgn_known holds the sign-resolution values of the known part.  Returns
+    (value, resolved): value solves measured = known + value*unit using the
+    equation with the largest unit contribution.
     """
-    sgn_known = dict(sign_resolution(t_known, grams))
     sgn_unit = dict(sign_resolution(t_unit, grams))
     best = (0.0, 0.0)
     for n in names:
@@ -321,7 +321,7 @@ def _resolve_linear_sign(fpd, t_known, t_unit, names, grams):
     return best[0] / best[1], True
 
 
-def _recover_diff(fr, min_det):
+def _recover_diff(fr):
     """Zeros at frame slots p, q of vectors 0 and 1: R[p,q] and the fiber Q[p,q,:]."""
     P = fr.perm
     p, q = fr.slots
@@ -335,11 +335,10 @@ def _recover_diff(fr, min_det):
     c2 = float(_clamp(fr.measured(sq_known, [coupling_square_name(P[0], P[1], 1, 1)], ckey),
                       ckey)[0])
     d = fr.measured(sq_known, [q_square_name(*fr.orig((1, 1, n))) for n in _R3], "fiber squares")
-    fiber_sq = _clamp(_checked_solve((_power_matrix(spec),), d, "fiber square system", min_det),
-                      "Q fiber")
+    fiber_sq = _clamp(_checked_solve((_power_matrix(spec),), d, "fiber square system"), "Q fiber")
     m = fr.measured(sq_known, [slab_square_name(P[2], n, P[0], 1, P[1], 1) for n in _R3],
                     "fiber products")
-    prod = _row_product_matrix(fiber_sq, m, spec, weights, min_det, "fiber product system")
+    prod = _row_product_matrix(fiber_sq, m, spec, weights, "fiber product system")
 
     keys = [fr.key((p, q, k)) for k in _R3]
     fiber = _row_group(fr.key((p, q, ":")), keys, prod)
@@ -353,17 +352,18 @@ def _recover_diff(fr, min_det):
         coupling = SignGroup(ckey, {ckey: c_mag}, bool(c2 <= ZERO_SQUARE))
         return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], notes)
 
+    sgn_known = dict(sign_resolution(t_known, fr.grams))
     if c2 <= ZERO_SQUARE:
         coupling = SignGroup(ckey, {ckey: 0.0}, True)
     else:
         val, ok = _resolve_linear_sign(
-            fr.fpd, t_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
+            fr.fpd, sgn_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
             [sign_name(path, r) for path in ((0, 1, 2), (1, 0, 2)) for r in _R3], fr.grams)
         coupling = SignGroup(ckey, {ckey: np.copysign(c_mag, val) if ok else c_mag}, ok)
     if not fiber.resolved:
         vals = list(fiber.components.values())
         sigma, ok = _resolve_linear_sign(
-            fr.fpd, t_known, fr.known(mask, [0.0, *vals]),
+            fr.fpd, sgn_known, fr.known(mask, [0.0, *vals]),
             [sign_q_name(v, r, s) for v in (0, 1) for r in _R3 for s in _R3], fr.grams)
         sign = np.copysign(1.0, sigma) if ok else 1.0
         fiber = SignGroup(fiber.label, {k: float(sign * x) for k, x in zip(keys, vals)}, ok)
@@ -415,7 +415,7 @@ def _slab_sign_groups(slab_label, magnitudes, edges, key):
     return groups
 
 
-def _recover_same(fr, min_det):
+def _recover_same(fr):
     """Zeros at two frame slots of vector 0: those rows of R and S and slabs of Q."""
     P = fr.perm
     spec, vec = fr.spectra, fr.vectors
@@ -424,7 +424,7 @@ def _recover_same(fr, min_det):
     sq_known = dict(squared_family(fr.known(_row_mask(fr.slots)), fr.grams))
 
     def solve(name, qubits, what, lams=lam4):
-        return fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what, min_det)
+        return fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what)
 
     def coupling_squares(a, b):
         """Squares of the frame coupling of qubits a < b, indexed [row on a, column on b]."""
@@ -462,19 +462,18 @@ def _recover_same(fr, min_det):
                 squares[f"{fr.key((x, j + 1, k + 1))}^2"] = float(Q2[i, j, k])
         groups.append(_row_group(
             fr.key((x, ":", 0)), [fr.key((x, j, 0)) for j in _R3],
-            _row_product_matrix(C1[i], W1[i], spec[1], vec[1], min_det, "row products")))
+            _row_product_matrix(C1[i], W1[i], spec[1], vec[1], "row products")))
         groups.append(_row_group(
             fr.key((x, 0, ":")), [fr.key((x, 0, k)) for k in _R3],
-            _row_product_matrix(C2[i], W2[i], spec[2], vec[2], min_det, "row products")))
+            _row_product_matrix(C2[i], W2[i], spec[2], vec[2], "row products")))
         edges = {}
         for k in range(3):
             prod = _row_product_matrix(Q2[i, :, k], U1[i, k], spec[1], vec[1],
-                                       min_det, "Q in-column products")
+                                       "Q in-column products")
             for (j, jp) in _PAIRS:
                 edges[((j, k), (jp, k))] = prod[j, jp]
         for j in range(3):
-            prod = _row_product_matrix(Q2[i, j], U2[i, j], spec[2], vec[2],
-                                       min_det, "Q in-row products")
+            prod = _row_product_matrix(Q2[i, j], U2[i, j], spec[2], vec[2], "Q in-row products")
             for (k, kp) in _PAIRS:
                 edges[((j, k), (j, kp))] = prod[k, kp]
         groups.extend(_slab_sign_groups(fr.key((x, ":", ":")), np.sqrt(Q2[i]), edges,
@@ -482,7 +481,7 @@ def _recover_same(fr, min_det):
     return TwoZeroRecovery("same-vector", squares, groups, notes)
 
 
-def recover_two_zero(fp, cf, min_det=MIN_DET):
+def recover_two_zero(fp, cf):
     """Recover the components a two-zero canonical form leaves undetermined.
 
     Different vectors: one coupling entry and one fiber of Q, magnitudes from
@@ -494,7 +493,7 @@ def recover_two_zero(fp, cf, min_det=MIN_DET):
     """
     cls = cf.orbit_class
     if cls.kind == "two-zero-diff":
-        return _recover_diff(_Frame(cf, fp), min_det)
+        return _recover_diff(_Frame(cf, fp))
     if cls.kind == "two-zero-same":
-        return _recover_same(_Frame(cf, fp), min_det)
+        return _recover_same(_Frame(cf, fp))
     raise WrongClassError(f"expected a two-zero class, got {cls.tag}")

@@ -25,25 +25,26 @@ __all__ = ["adjoint", "haar_su2", "LocalRotation", "act", "conjugate"]
 UNITARITY_TOL = 1e-10
 
 
-def _check_su2(u, tol=UNITARITY_TOL):
+def _check_su2(u):
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise NotSpecialUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
     unit_dev = np.abs(u.conj().T @ u - np.eye(2)).max()
-    if unit_dev > tol:
-        raise NotSpecialUnitaryError(f"unitarity deviation {unit_dev:.3e} exceeds {tol:.1e}")
+    if unit_dev > UNITARITY_TOL:
+        raise NotSpecialUnitaryError(
+            f"unitarity deviation {unit_dev:.3e} exceeds {UNITARITY_TOL:.1e}")
     det_dev = abs(np.linalg.det(u) - 1.0)
-    if det_dev > tol:
+    if det_dev > UNITARITY_TOL:
         raise NotSpecialUnitaryError(f"determinant deviates from 1 by {det_dev:.3e}")
     return u
 
 
-def adjoint(u, tol=UNITARITY_TOL):
+def adjoint(u):
     """SO(3) image of u in SU(2), O[j, i] = (1/2) Re tr(s_j u s_i u+).
 
     Satisfies adjoint(u @ v) = adjoint(u) @ adjoint(v) and adjoint(-u) = adjoint(u).
     """
-    u = _check_su2(u, tol)
+    u = _check_su2(u)
     udag = u.conj().T
     out = np.empty((3, 3))
     for i in range(3):
@@ -65,15 +66,16 @@ def haar_su2(rng):
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def _check_rotation(mat, tol=UNITARITY_TOL):
+def _check_rotation(mat):
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise NotRotationError(f"expected a 3x3 matrix, got shape {mat.shape}")
     orth_dev = np.abs(mat.T @ mat - np.eye(3)).max()
-    if orth_dev > tol:
-        raise NotRotationError(f"orthogonality deviation {orth_dev:.3e} exceeds {tol:.1e}")
+    if orth_dev > UNITARITY_TOL:
+        raise NotRotationError(
+            f"orthogonality deviation {orth_dev:.3e} exceeds {UNITARITY_TOL:.1e}")
     det_dev = abs(np.linalg.det(mat) - 1.0)
-    if det_dev > tol:
+    if det_dev > UNITARITY_TOL:
         raise NotRotationError(f"determinant deviates from +1 by {det_dev:.3e}")
     return mat
 
@@ -124,10 +126,10 @@ def act(b, g):
     )
 
 
-def conjugate(rho, u1, u2, u3, tol=UNITARITY_TOL):
+def conjugate(rho, u1, u2, u3):
     """Conjugate a density matrix by u1 x u2 x u3 (the oracle for act)."""
     rho = validate_density(rho)
     for u in (u1, u2, u3):
-        _check_su2(u, tol)
+        _check_su2(u)
     big = np.kron(np.kron(u1, u2), u3)
     return big @ rho @ big.conj().T

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, NotHermitianError
+from .pauli import _hermitian
 
 __all__ = [
     "example_state",
@@ -12,9 +12,10 @@ __all__ = [
     "w_state",
     "product_state",
     "random_mixed",
-    "standard_state",
     "min_eigenvalue",
 ]
+
+BLOCH_NORM_TOL = 1e-12   # how far past 1 a product-state Bloch vector may reach
 
 
 def example_state(a, b, c):
@@ -69,7 +70,7 @@ def product_state(n1, n2, n3):
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
-        if np.linalg.norm(n) > 1.0 + 1e-12:
+        if np.linalg.norm(n) > 1.0 + BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector norm {np.linalg.norm(n):.6f} exceeds 1")
         factors.append(0.5 * (np.eye(2) + n[0] * sx + n[1] * sy + n[2] * sz))
     return np.kron(np.kron(factors[0], factors[1]), factors[2])
@@ -84,26 +85,6 @@ def random_mixed(rng, rank=8):
     return rho / rho.trace().real
 
 
-def standard_state(name, **params):
-    """Dispatch by name: "example", "ghz", "w", "product", "mixed"."""
-    table = {
-        "example": example_state,
-        "ghz": ghz_state,
-        "w": w_state,
-        "product": product_state,
-        "mixed": random_mixed,
-    }
-    if name not in table:
-        raise FormatError(f"unknown state name {name!r}; choose from {sorted(table)}")
-    return table[name](**params)
-
-
 def min_eigenvalue(rho):
     """Smallest eigenvalue of a Hermitian 8x8 matrix (positivity report)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise FormatError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > 1e-10:
-        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
-    return float(np.linalg.eigvalsh(rho).min())
+    return float(np.linalg.eigvalsh(_hermitian(rho)).min())

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["flatten", "refold", "gram", "GramTriple", "triple", "kron"]
+__all__ = ["flatten", "refold", "gram", "GramTriple", "triple"]
 
 
 def _check_axis(axis):
@@ -87,7 +87,3 @@ def triple_cofactor(a, b):
         a[0] * b[1] - a[1] * b[0],
     ])
 
-
-def kron(a, b):
-    """Kronecker product with row-major pair ordering (thin numpy wrapper)."""
-    return np.kron(np.asarray(a), np.asarray(b))

@@ -182,8 +182,10 @@ def test_nongeneric_rotations_never_separate(rng):
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(tol_abs=-1.0)
+    for name in ("tol_abs", "tol_rel", "zero_tol", "deg_tol"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                Tolerances(**{name: bad})
 
 
 def test_custom_tolerances_change_verdict():

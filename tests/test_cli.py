@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lu3q import decompose, example_state, ghz_state, serialize
+from lu3q import act, cli, decompose, example_state, ghz_state, serialize
 from lu3q.cli import main
 from conftest import physical_bloch, zeroed_tensor
 
@@ -125,9 +126,15 @@ def test_orbit_test_passes_and_is_deterministic(tmp_path, family_file):
     assert doc["max_oracle_mismatch"] < 1e-10
 
 
-def test_orbit_test_detects_corrupted_action(tmp_path, family_file, capsys):
+def test_orbit_test_detects_corrupted_action(family_file, capsys, monkeypatch):
     src = family_file("rho.json", 0.1, 0.0, 0.2)
-    code = main(["orbit-test", src, "--trials", "3", "--seed", "1", "--corrupt-action"])
+
+    def corrupted(b, g):
+        out = act(b, g)
+        return dataclasses.replace(out, alpha=out.alpha + 0.05)
+
+    monkeypatch.setattr(cli, "act", corrupted)
+    code = main(["orbit-test", src, "--trials", "3", "--seed", "1"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
@@ -187,6 +194,17 @@ def test_malformed_json_exit_three(tmp_path, rng, capsys):
                      ["fingerprint", str(bad_bloch)], ["compare", str(bad_bloch), str(bad_bloch)]):
             assert main(args) == 3, (token, args)
             assert "finite" in capsys.readouterr().err
+    # a non-numeric entry and a ragged matrix in density JSON
+    string_entry, ragged = json.loads(density), json.loads(density)
+    string_entry["matrix"][0][0][0] = "x"
+    ragged["matrix"][0] = ragged["matrix"][0][:7]
+    for what, bad in (("string entry", string_entry), ("ragged", ragged)):
+        path = tmp_path / "bad_matrix.json"
+        path.write_text(json.dumps(bad))
+        for args in (["decompose", str(path)], ["fingerprint", str(path)],
+                     ["compare", str(path), str(path)]):
+            assert main(args) == 3, (what, args)
+            assert "matrix entries must be numbers" in capsys.readouterr().err
 
 
 def test_missing_file_exit_three(tmp_path, capsys):
@@ -204,8 +222,10 @@ def test_usage_errors_exit_three(capsys):
 
 def test_nonpositive_tolerance_exit_three(tmp_path, family_file, capsys):
     src = family_file("rho.json", 0.1, 0.0, 0.2)
-    assert main(["fingerprint", src, "--tol-abs", "0"]) == 3
-    capsys.readouterr()
+    for flag in ("--tol-abs", "--tol-rel", "--zero-tol", "--deg-tol"):
+        for value in ("0", "-1", "nan", "inf"):
+            assert main(["fingerprint", src, f"{flag}={value}"]) == 3, (flag, value)
+            assert "positive finite" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

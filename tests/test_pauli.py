@@ -167,6 +167,10 @@ def test_density_dict_rejects_malformed():
         density_from_dict({"dim": 4, "matrix": [[[1.0, 0.0]] * 4] * 4})
     with pytest.raises(FormatError):
         density_from_dict({"matrix": "nope"})
+    good = [[[0.0, 0.0]] * 8 for _ in range(8)]
+    for bad in ([["x", 0.0]] + good[0][1:], good[0][:7]):   # a string entry, a short row
+        with pytest.raises(FormatError, match="matrix entries must be numbers"):
+            density_from_dict({"dim": 8, "matrix": [bad] + good[1:]})
 
 
 PERMUTATIONS = list(itertools.permutations(range(3)))

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lu3q import recover
 from lu3q import (BlochTensor, Fingerprint, InconsistentInvariantsError,
                   LocalRotation, SingularSystemError, WrongClassError, act,
                   canonicalize, full_fingerprint, gram, recover_two_zero,
@@ -102,10 +103,11 @@ def test_single_zero_wrong_class(rng):
         solve_single_zero(fp, cf)
 
 
-def test_single_zero_singular_threshold(rng):
+def test_single_zero_singular_threshold(rng, monkeypatch):
     cf, fp = rotated_case(rng, [("a", 0)])
+    monkeypatch.setattr(recover, "MIN_DET", 1e6)
     with pytest.raises(SingularSystemError):
-        solve_single_zero(fp, cf, min_det=1e6)
+        solve_single_zero(fp, cf)
 
 
 def test_two_zero_diff_round_trip_all_pairs(rng):
@@ -210,10 +212,11 @@ def test_two_zero_wrong_class(rng):
         recover_two_zero(fp, cf)
 
 
-def test_two_zero_singular_threshold(rng):
+def test_two_zero_singular_threshold(rng, monkeypatch):
     cf, fp = rotated_case(rng, [("a", 0), ("b", 0)])
+    monkeypatch.setattr(recover, "MIN_DET", 1e6)
     with pytest.raises(SingularSystemError):
-        recover_two_zero(fp, cf, min_det=1e6)
+        recover_two_zero(fp, cf)
 
 
 def test_two_zero_inconsistent_fingerprint(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from lu3q import (BlochTensor, FormatError, NotHermitianError, decompose,
                   example_state, ghz_state, min_eigenvalue, product_state,
-                  random_mixed, reconstruct, standard_state, w_state)
+                  random_mixed, reconstruct, w_state)
 
 
 def family_tensor(a, b, c):
@@ -80,6 +80,9 @@ def test_min_eigenvalue_rejects_non_hermitian():
         min_eigenvalue(bad)
     with pytest.raises(FormatError):
         min_eigenvalue(np.eye(4, dtype=complex) / 4)
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(FormatError):
+        min_eigenvalue(bad)
 
 
 def test_ghz_and_w_are_pure_states():
@@ -112,11 +115,3 @@ def test_random_mixed_contract(rng):
         random_mixed(rng, rank=0)
     with pytest.raises(ValueError):
         random_mixed(rng, rank=9)
-
-
-def test_standard_state_dispatch(rng):
-    assert np.array_equal(standard_state("ghz"), ghz_state())
-    assert np.array_equal(standard_state("example", a=0.1, b=0.0, c=0.2),
-                          example_state(0.1, 0.0, 0.2))
-    with pytest.raises(FormatError):
-        standard_state("bell")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lu3q import LocalRotation, flatten, gram, kron, refold, triple, triple_cofactor
+from lu3q import LocalRotation, flatten, gram, refold, triple, triple_cofactor
 
 
 def oracle_flatten(q, axis):
@@ -85,8 +85,3 @@ def test_triple_product_equals_determinant(rng):
 def test_triple_cofactor_is_cross_product(rng):
     a, b = rng.normal(size=3), rng.normal(size=3)
     assert np.max(np.abs(triple_cofactor(a, b) - np.cross(a, b))) < 1e-13
-
-
-def test_kron_matches_numpy(rng):
-    a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    assert np.array_equal(kron(a, b), np.kron(a, b))
