@@ -18,7 +18,7 @@ import numpy as np
 from .invariants import TOL_ABS, TOL_REL, Fingerprint, fingerprint_families, first_mismatch
 # Unused here; kept importable because bench/spans.py wraps them in this module.
 from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
-from .pauli import BlochTensor, decompose
+from .pauli import decompose
 from .rotations import LocalRotation, act
 from .tensor_ops import gram
 
@@ -163,18 +163,13 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     wx, L = _diagonalizing_rotation(X)
     wy, M = _diagonalizing_rotation(Y)
     wz, N = _diagonalizing_rotation(Z)
-    b1 = act(b, LocalRotation(L, M, N))
-    vecs = (b1.alpha, b1.beta, b1.gamma)
+    vecs = (L @ b.alpha, M @ b.beta, N @ b.gamma)
     # one structural-zero test; the sign flips below keep every |component|
     masks = [np.abs(v) > zero_tol for v in vecs]
-    dl, dm, dn = (_lex_sign(v, m) for v, m in zip(vecs, masks))
-    rot = LocalRotation(dl[:, None] * L, dm[:, None] * M, dn[:, None] * N)
-    # act(b, rot) is b1 with the sign triples applied, and flipping signs is exact
-    b2 = BlochTensor(dl * b1.alpha, dm * b1.beta, dn * b1.gamma,
-                     dl[:, None] * b1.R * dm, dl[:, None] * b1.S * dn, dm[:, None] * b1.T * dn,
-                     dl[:, None, None] * dm[:, None] * dn * b1.Q)
+    signs = [_lex_sign(v, m)[:, None] for v, m in zip(vecs, masks)]
+    rot = LocalRotation(*(d * g for d, g in zip(signs, (L, M, N))))
     cls = _classify((wx, wy, wz), masks, deg_tol)
-    return CanonicalForm(b2, rot, cls)
+    return CanonicalForm(act(b, rot), rot, cls)
 
 
 def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
@@ -214,14 +209,12 @@ def equivalent(rho1, rho2, tols=None):
     same = c1.matches(c2)
     stages = [_stages(rho, b, c.spectra, c1 if same else None)
               for rho, b, c in zip((rho1, rho2), bs, (c1, c2))]
-    compared = []
     for e1, e2 in zip(*stages):
         diff = first_mismatch(Fingerprint(classes[0], e1), Fingerprint(classes[1], e2),
                               tols.tol_abs, tols.tol_rel)
         if diff is not None:
             name, v1, v2 = diff
             return Verdict("inequivalent", name, classes, f"{name}: {v1:.12g} vs {v2:.12g}")
-        compared += e1 + e2
 
     if not same:
         return Verdict("inconclusive", None, classes,
@@ -231,7 +224,8 @@ def equivalent(rho1, rho2, tols=None):
     if kind in ("generic", "single-zero"):
         return Verdict("equivalent", None, classes)
     if kind in ("two-zero-diff", "two-zero-same"):
-        if max(abs(v) for n, v in compared if n.startswith("sgn:")) <= tols.tol_abs:
+        # the last stage of a two-zero class is its sign-resolution family
+        if max(abs(v) for _, v in e1 + e2) <= tols.tol_abs:
             return Verdict("equivalent-up-to-sign", None, classes,
                            "all sign-resolution invariants vanish; residual signs undetermined")
         return Verdict("equivalent", None, classes)

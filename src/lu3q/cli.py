@@ -24,7 +24,7 @@ from . import serialize
 from .canonical import Tolerances, canonicalize, equivalent
 from .errors import FormatError, InconsistentInvariantsError, SingularSystemError, WrongClassError
 from .invariants import Fingerprint, all_invariants, first_mismatch, full_fingerprint
-from .pauli import component_key, decompose, reconstruct
+from .pauli import decompose, reconstruct
 from .recover import recover_two_zero, solve_single_zero
 from .rotations import LocalRotation, act, conjugate, haar_su2
 from .states import example_state, min_eigenvalue
@@ -155,6 +155,8 @@ def _cmd_orbit_test(args):
     tols = _tolerances(args)
     if args.trials < 1:
         raise FormatError("--trials must be at least 1")
+    if args.seed < 0:
+        raise FormatError("--seed must be non-negative")
     b, rho = _load_state(args.input)
     rng = np.random.default_rng(args.seed)
     base = Fingerprint("all", all_invariants(b))
@@ -189,40 +191,21 @@ def _cmd_reconstruct(args):
     b, _ = _load_state(args.input)
     cf = canonicalize(b, zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
     fp = full_fingerprint(cf.tensor, cf.orbit_class)
-    result = {"class": cf.orbit_class.tag}
     kind = cf.orbit_class.kind
     if kind == "single-zero":
-        sol = solve_single_zero(fp, cf)
-        zq = "abg".index(sol.zero_vector)
-
-        def key(u, v):
-            """Key of the entry at u, v on the remaining qubits, ascending."""
-            idx = [u, v]
-            idx.insert(zq, sol.slot)
-            return component_key(tuple(idx))
-
-        comps = {}
-        for j in range(3):
-            comps[key(j + 1, 0)] = float(sol.first[j])
-            comps[key(0, j + 1)] = float(sol.second[j])
-        for u in range(3):
-            for v in range(3):
-                comps[key(u + 1, v + 1)] = float(sol.q_slab[u, v])
-        result["components"] = comps
-        result["ambiguity"] = []
+        rec = solve_single_zero(fp, cf)
     elif kind in ("two-zero-diff", "two-zero-same"):
         rec = recover_two_zero(fp, cf)
-        comps = {}
-        for grp in rec.groups:
-            comps.update(grp.components)
-        result["components"] = comps
-        result["squares"] = rec.squares
-        result["ambiguity"] = [grp.label for grp in rec.groups if not grp.resolved]
-        if rec.notes:
-            result["notes"] = rec.notes
     else:
         raise WrongClassError(
             f"reconstruction covers single-zero and two-zero classes; input is {cf.orbit_class.tag}")
+    result = {"class": cf.orbit_class.tag,
+              "components": {k: v for grp in rec.groups for k, v in grp.components.items()}}
+    if rec.squares:
+        result["squares"] = rec.squares
+    result["ambiguity"] = [grp.label for grp in rec.groups if not grp.resolved]
+    if rec.notes:
+        result["notes"] = rec.notes
     _write_out(serialize.dumps(result), args.out)
     return 0
 
@@ -255,7 +238,7 @@ def main(argv=None):
     except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"lu3q: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # WrongClassError, NotHermitianError and the other checks are ValueErrors
+    # WrongClassError and the other checks are ValueErrors
     except (SingularSystemError, InconsistentInvariantsError, ValueError) as exc:
         print(f"lu3q: error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

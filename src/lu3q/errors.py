@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotHermitianError(ValueError):
-    """Input matrix deviates from Hermitian beyond tolerance."""
-
-
-class TraceNotOneError(ValueError):
-    """Input matrix trace deviates from 1 beyond tolerance."""
-
-
 class NotSpecialUnitaryError(ValueError):
     """2x2 matrix is not special unitary within tolerance."""
 
@@ -18,7 +10,15 @@ class NotRotationError(ValueError):
 
 
 class FormatError(ValueError):
-    """JSON payload does not match the expected schema."""
+    """Input that is not a valid state: malformed JSON, wrong schema, bad numbers."""
+
+
+class NotHermitianError(FormatError):
+    """Input matrix deviates from Hermitian beyond tolerance."""
+
+
+class TraceNotOneError(FormatError):
+    """Input matrix trace deviates from 1 beyond tolerance."""
 
 
 class WrongClassError(ValueError):

@@ -129,12 +129,6 @@ class BlochTensor:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3), np.zeros(3), np.zeros(3),
-                   np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)),
-                   np.zeros((3, 3, 3)))
-
     def components(self):
         """Flatten to the 63-vector (alpha, beta, gamma, R, S, T, Q), row-major."""
         return np.concatenate([

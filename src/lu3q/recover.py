@@ -20,6 +20,12 @@ squared family pins magnitudes and in-row products, and the sign-resolution
 invariants fix the remaining signs when they do not vanish.  Those cover
 zeros in (alpha, beta) only: the other pairs report magnitudes.
 
+Both solvers return their entries already keyed, in one report shape:
+groups of SignGroup (components by key, in output order, and whether their
+signs are pinned), squares by key and notes.  A single-zero solve is one
+resolved group, its coupling entries interleaved and then its slab, with
+no squares.  Only this module maps frame indices to component keys.
+
 Known-component contributions are always subtracted by re-evaluating the
 exact invariant on a copy of the tensor with the unknowns zeroed, never by
 separate closed forms.  Those re-evaluations pin the Gram matrices to the
@@ -196,7 +202,8 @@ class SingleZeroSolution:
     """Recovered row/column of two coupling matrices and one slab of Q.
 
     first and second are indexed by the first and second remaining qubit,
-    q_slab by both in ascending order.
+    q_slab by both in ascending order; groups, squares and notes hold the
+    same entries in the report shape of TwoZeroRecovery.
     """
 
     zero_vector: str
@@ -205,6 +212,9 @@ class SingleZeroSolution:
     second: np.ndarray
     q_slab: np.ndarray
     targets: tuple
+    groups: list
+    squares: dict
+    notes: list
 
     def apply(self, b):
         """Insert the recovered values into a copy of the tensor."""
@@ -248,7 +258,14 @@ def solve_single_zero(fp, cf):
     second = _checked_solve((A2,), rhs[1], "second coupling system")
     q_slab = _checked_solve((A1, A2), rhsq, "Q slab system").reshape(3, 3)
     targets = tuple(fr.key(idx) for idx in ((p, ":", 0), (p, 0, ":"), (p, ":", ":")))
-    return SingleZeroSolution(_VECTORS[zq], p, first, second, q_slab, targets)
+    comps = {}
+    for j in _R3:
+        comps[fr.key((p, j, 0))] = float(first[j - 1])
+        comps[fr.key((p, 0, j))] = float(second[j - 1])
+    for r, s in itertools.product(_R3, repeat=2):
+        comps[fr.key((p, r, s))] = float(q_slab[r - 1, s - 1])
+    return SingleZeroSolution(_VECTORS[zq], p, first, second, q_slab, targets,
+                              [SignGroup(", ".join(targets), comps, True)], {}, [])
 
 
 @dataclass

@@ -7,6 +7,7 @@ are exact for IEEE doubles and repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def loads_state(text):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top-level JSON value must be an object")
@@ -98,11 +99,12 @@ def loads_state(text):
 
 def load_input(path):
     """Read a state file ('-' for stdin) and parse it."""
-    import sys
-
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: {exc}") from exc
     return loads_state(text)

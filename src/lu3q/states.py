@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import _hermitian
+from .pauli import PAULI, _hermitian
 
 __all__ = [
     "example_state",
@@ -63,16 +63,13 @@ def product_state(n1, n2, n3):
     Each vector may have norm < 1 (mixed marginals); norm > 1 is rejected.
     """
     factors = []
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     for n in (n1, n2, n3):
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
         if np.linalg.norm(n) > 1.0 + BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector norm {np.linalg.norm(n):.6f} exceeds 1")
-        factors.append(0.5 * (np.eye(2) + n[0] * sx + n[1] * sy + n[2] * sz))
+        factors.append(0.5 * sum((x * s for x, s in zip(n, PAULI[1:])), PAULI[0]))
     return np.kron(np.kron(factors[0], factors[1]), factors[2])
 
 

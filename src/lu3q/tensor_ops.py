@@ -6,8 +6,10 @@ Flattening layouts (1-indexed in the math, 0-indexed in code):
   axis 2:  M[j, 3(i-1)+k] = Q_ijk
   axis 3:  M[k, 3(i-1)+j] = Q_ijk
 
-Columns iterate the first remaining index slowest, which matches the
-column ordering of np.kron for the paired transformation laws.
+That is, the chosen axis is moved to the front and the other two keep their
+order, the first remaining index slowest, which matches the column ordering
+of np.kron for the paired transformation laws.  flatten and refold do this
+with one np.moveaxis for every axis.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ def flatten(Q, axis):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (3, 3, 3):
         raise ValueError(f"Q must be 3x3x3, got {Q.shape}")
-    if axis == 1:
-        return Q.reshape(3, 9)
-    if axis == 2:
-        return Q.transpose(1, 0, 2).reshape(3, 9)
-    return Q.transpose(2, 0, 1).reshape(3, 9)
+    return np.moveaxis(Q, axis - 1, 0).reshape(3, 9)
 
 
 def refold(mat, axis):
@@ -43,12 +41,7 @@ def refold(mat, axis):
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 9):
         raise ValueError(f"flattening must be 3x9, got {mat.shape}")
-    cube = mat.reshape(3, 3, 3)
-    if axis == 1:
-        return cube
-    if axis == 2:
-        return cube.transpose(1, 0, 2)
-    return cube.transpose(1, 2, 0)
+    return np.moveaxis(mat.reshape(3, 3, 3), 0, axis - 1)
 
 
 class GramTriple(NamedTuple):
@@ -62,10 +55,8 @@ def gram(Q):
 
     All three are symmetric positive semidefinite and share their trace.
     """
-    m1 = flatten(Q, 1)
-    m2 = flatten(Q, 2)
-    m3 = flatten(Q, 3)
-    return GramTriple(m1 @ m1.T, m2 @ m2.T, m3 @ m3.T)
+    flats = [flatten(Q, axis) for axis in (1, 2, 3)]
+    return GramTriple(*(m @ m.T for m in flats))
 
 
 def triple(a, b, c):

@@ -207,6 +207,28 @@ def test_malformed_json_exit_three(tmp_path, rng, capsys):
             assert "matrix entries must be numbers" in capsys.readouterr().err
 
 
+def test_bad_input_exits_three_with_one_error_line(tmp_path, family_file, capsys):
+    good = family_file("good.json", 0.1, 0.0, 0.2)
+    density = json.loads(serialize.density_to_json(example_state(0.1, 0.0, 0.2)))
+    not_hermitian, bad_trace = json.loads(json.dumps(density)), json.loads(json.dumps(density))
+    not_hermitian["matrix"][0][1][0] += 0.01
+    bad_trace["matrix"][0][0][0] += 0.01
+    files = {"not_hermitian": json.dumps(not_hermitian).encode(),
+             "bad_trace": json.dumps(bad_trace).encode(),
+             "latin1": '{"dim": 8, "matrix": "\xe9"}'.encode("latin-1"),
+             "deep": b"[" * 2000 + b"]" * 2000}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        for args in (["decompose", str(path)], ["fingerprint", str(path)],
+                     ["compare", str(path), good], ["compare", good, str(path)]):
+            assert main(args) == 3, (name, args)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("lu3q: error: "), (name, args, err)
+    assert main(["orbit-test", good, "--trials", "1", "--seed", "-1"]) == 3
+    assert capsys.readouterr().err == "lu3q: error: --seed must be non-negative\n"
+
+
 def test_missing_file_exit_three(tmp_path, capsys):
     assert main(["decompose", str(tmp_path / "absent.json")]) == 3
     capsys.readouterr()

@@ -11,7 +11,7 @@ from lu3q import (BlochTensor, Fingerprint, InconsistentInvariantsError,
                   LocalRotation, SingularSystemError, WrongClassError, act,
                   canonicalize, full_fingerprint, gram, recover_two_zero,
                   single_zero_extras, solve_single_zero, vandermonde_system)
-from conftest import zeroed_tensor
+from conftest import bounded_vector, canonical_q, zeroed_tensor
 
 
 def tensor_entry(t, key):
@@ -203,6 +203,43 @@ def test_two_zero_diff_all_zero_block():
         assert g.resolved
         for value in g.components.values():
             assert value == 0.0
+
+
+def assert_recovers_canonical(rec, t, tol=1e-7):
+    """Squares and resolved groups equal the canonical tensor; unresolved groups in magnitude."""
+    for key, value in rec.squares.items():
+        assert abs(value - tensor_entry(t, key[:-2]) ** 2) < tol, key
+    for g in rec.groups:
+        vals = np.array(list(g.components.values()))
+        truth = np.array([tensor_entry(t, k) for k in g.components])
+        if not g.resolved:
+            vals, truth = np.abs(vals), np.abs(truth)
+        assert np.max(np.abs(vals - truth)) < tol, (g.label, vals, truth)
+
+
+def test_two_zero_same_diagonal_q_reports_zero_groups(rng):
+    Q = np.zeros((3, 3, 3))
+    Q[0, 0, 0], Q[1, 1, 1], Q[2, 2, 2] = 0.9, 0.6, 0.3
+    b = BlochTensor(np.array([0.0, 0.5, 0.0]), bounded_vector(rng), bounded_vector(rng),
+                    rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), Q)
+    cf = canonicalize(act(b, LocalRotation.random(rng)))
+    assert cf.orbit_class.tag == "two-zero-same:a1,a3"
+    rec = recover_two_zero(full_fingerprint(cf.tensor, cf.orbit_class), cf)
+    labels = [g.label for g in rec.groups]
+    assert "Q[1,:,:]#zeros" in labels and "Q[3,:,:]#zeros" in labels
+    assert_recovers_canonical(rec, cf.tensor)
+
+
+def test_two_zero_diff_without_couplings_leaves_fiber_sign_open(rng):
+    alpha, beta, zero = bounded_vector(rng), bounded_vector(rng), np.zeros((3, 3))
+    alpha[0] = beta[1] = 0.0
+    b = BlochTensor(alpha, beta, bounded_vector(rng), zero, zero, zero, canonical_q(rng))
+    cf = canonicalize(act(b, LocalRotation.random(rng)))
+    assert cf.orbit_class.tag == "two-zero-diff:a1,b2"
+    rec = recover_two_zero(full_fingerprint(cf.tensor, cf.orbit_class), cf)
+    # every sign-resolution invariant of the fiber passes through R, S or T
+    assert [g.label for g in rec.groups if not g.resolved] == ["Q[1,2,:]"]
+    assert_recovers_canonical(rec, cf.tensor)
 
 
 def test_two_zero_wrong_class(rng):
