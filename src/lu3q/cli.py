@@ -45,15 +45,17 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     defaults = Tolerances()
-    tol = argparse.ArgumentParser(add_help=False)
-    for name, what in (("tol_abs", "absolute tolerance for invariant comparison"),
-                       ("tol_rel", "relative tolerance for invariant comparison"),
-                       ("zero_tol", "threshold for structural zeros in canonical vectors"),
-                       ("deg_tol", "relative spectral-gap threshold for degeneracy")):
+    # each subcommand takes only the tolerances it reads
+    comparison, classes = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for group, name, what in (
+            (comparison, "tol_abs", "absolute tolerance for invariant comparison"),
+            (comparison, "tol_rel", "relative tolerance for invariant comparison"),
+            (classes, "zero_tol", "threshold for structural zeros in canonical vectors"),
+            (classes, "deg_tol", "relative spectral-gap threshold for degeneracy")):
         value = getattr(defaults, name)
         shown = f"{value:.0e}".replace("e-0", "e-")
-        tol.add_argument("--" + name.replace("_", "-"), type=float, default=value,
-                         help=f"{what} (default {shown})")
+        group.add_argument("--" + name.replace("_", "-"), type=float, default=value,
+                           help=f"{what} (default {shown})")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
@@ -66,22 +68,22 @@ def build_parser():
                        help="expand a density matrix into its coefficient tensor")
     d.add_argument("input", help="density-matrix JSON file ('-' for stdin)")
 
-    f = sub.add_parser("fingerprint", parents=[tol, out],
+    f = sub.add_parser("fingerprint", parents=[classes, out],
                        help="canonical class and class-complete invariant list")
     f.add_argument("input", help="state JSON file ('-' for stdin)")
 
-    c = sub.add_parser("compare", parents=[tol, out],
+    c = sub.add_parser("compare", parents=[comparison, classes, out],
                        help="decide local-unitary equivalence of two states")
     c.add_argument("input_a", help="first state JSON file")
     c.add_argument("input_b", help="second state JSON file")
 
-    o = sub.add_parser("orbit-test", parents=[tol, out],
+    o = sub.add_parser("orbit-test", parents=[comparison, out],
                        help="verify invariance under random local unitaries")
     o.add_argument("input", help="state JSON file ('-' for stdin)")
     o.add_argument("--trials", type=int, default=100, help="number of random rotations")
     o.add_argument("--seed", type=int, default=0, help="random seed")
 
-    r = sub.add_parser("reconstruct", parents=[tol, out],
+    r = sub.add_parser("reconstruct", parents=[classes, out],
                        help="recover components left open by a nongeneric class")
     r.add_argument("input", help="state JSON file ('-' for stdin)")
 
@@ -118,8 +120,9 @@ def _load_state(path):
 
 
 def _tolerances(args):
+    """Tolerances from the flags the subcommand takes; the others keep their defaults."""
     try:
-        return Tolerances(args.tol_abs, args.tol_rel, args.zero_tol, args.deg_tol)
+        return Tolerances(**{k: getattr(args, k, v) for k, v in vars(Tolerances()).items()})
     except ValueError as exc:
         raise FormatError(f"bad tolerance option: {exc}") from exc
 

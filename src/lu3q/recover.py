@@ -4,12 +4,13 @@ Every zero pattern is solved in one frame.  BlochTensor.permute relabels the
 qubits so that the qubits holding the zeros come first and the others follow
 in ascending order: a zero in beta or gamma becomes a zero in alpha, and
 zeros in (alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  Each
-solver below is written once, for that alpha (or alpha-beta) case.  Frame
-qubit n is qubit perm[n] of the canonical tensor.  Invariant names are built
-from canonical qubit indices by the builders of the invariants module, and
+solver below is written once, for that alpha (or alpha-beta) case.  Every
+Vandermonde system is built and solved by _Frame.grid_solve; only the
+row-product systems of _row_product_matrix are not.  Frame qubit n is
+qubit perm[n] of the canonical tensor.  Invariant names are built from
+canonical qubit indices by the builders of the invariants module, and
 recovered entries are keyed by their Pauli index (i, j, k) through
-pauli.component_key, so mapping a frame quantity back is a tuple
-permutation.
+pauli.component_key, so mapping a frame quantity back is a tuple permutation.
 
 A single zero in alpha at slot p leaves row p of R and S and the slab
 Q[p,:,:] undetermined by the generic invariants; the extra triple-product
@@ -49,7 +50,7 @@ from .invariants import (coupling_square_name, extra_name, extra_q_name,
                          sign_resolution, single_zero_extras,
                          slab_square_name, squared_family, vector_square_name)
 from .pauli import _coefficients, _from_coefficients, component_key
-from .tensor_ops import gram, triple_cofactor
+from .tensor_ops import triple_cofactor
 
 __all__ = [
     "VandermondeSystem",
@@ -206,8 +207,6 @@ class SingleZeroSolution:
     same entries in the report shape of TwoZeroRecovery.
     """
 
-    zero_vector: str
-    slot: int
     first: np.ndarray
     second: np.ndarray
     q_slab: np.ndarray
@@ -215,15 +214,6 @@ class SingleZeroSolution:
     groups: list
     squares: dict
     notes: list
-
-    def apply(self, b):
-        """Insert the recovered values into a copy of the tensor."""
-        perm = _frame_perm([_VECTORS.index(self.zero_vector)])
-        vals = _coefficients(b.permute(perm))
-        vals[self.slot, 1:, 0] = self.first
-        vals[self.slot, 0, 1:] = self.second
-        vals[self.slot, 1:, 1:] = self.q_slab
-        return _from_coefficients(vals).permute(np.argsort(perm))
 
 
 def solve_single_zero(fp, cf):
@@ -238,25 +228,21 @@ def solve_single_zero(fp, cf):
     zq, p = fr.perm[0], fr.slots[0]
 
     v = fr.vectors[0]
-    gv = gram(cf.tensor.Q)[zq]
-    pref = triple_cofactor(v, gv @ v)[p - 1]
-    pref_scale = float(np.linalg.norm(v) ** 2 * max(np.max(np.diag(gv)), 0.0))
+    pref = triple_cofactor(v, fr.grams[zq] @ v)[p - 1]
+    pref_scale = float(np.linalg.norm(v) ** 2 * fr.spectra[0][0])
     if abs(pref) < MIN_DET * max(pref_scale, 1e-300):
         raise SingularSystemError(
             f"triple-product prefactor {pref:.3e} too small to solve", abs(pref))
 
     known = dict(single_zero_extras(fr.known(_row_mask([p])), _VECTORS[zq], fr.grams))
 
-    A1 = vsys.Lambda @ vsys.F
-    A2 = vsys.Theta @ vsys.G
-    rhs = [fr.measured(known, [extra_name(zq, o, r) for r in _R3], "single-zero solve") / pref
-           for o in fr.perm[1:]]
-    rhsq = fr.measured(known, [extra_q_name(zq, r, s) for r in _R3 for s in _R3],
-                       "single-zero solve") / pref
-
-    first = _checked_solve((A1,), rhs[0], "first coupling system")
-    second = _checked_solve((A2,), rhs[1], "second coupling system")
-    q_slab = _checked_solve((A1, A2), rhsq, "Q slab system").reshape(3, 3)
+    A1, A2 = vsys.Lambda @ vsys.F, vsys.Theta @ vsys.G
+    first = fr.grid_solve(known, functools.partial(extra_name, zq, fr.perm[1]), (1,), [A1],
+                          "first coupling system") / pref
+    second = fr.grid_solve(known, functools.partial(extra_name, zq, fr.perm[2]), (2,), [A2],
+                           "second coupling system") / pref
+    q_slab = fr.grid_solve(known, functools.partial(extra_q_name, zq), (1, 2), [A1, A2],
+                           "Q slab system") / pref
     targets = tuple(fr.key(idx) for idx in ((p, ":", 0), (p, 0, ":"), (p, ":", ":")))
     comps = {}
     for j in _R3:
@@ -264,7 +250,7 @@ def solve_single_zero(fp, cf):
         comps[fr.key((p, 0, j))] = float(second[j - 1])
     for r, s in itertools.product(_R3, repeat=2):
         comps[fr.key((p, r, s))] = float(q_slab[r - 1, s - 1])
-    return SingleZeroSolution(_VECTORS[zq], p, first, second, q_slab, targets,
+    return SingleZeroSolution(first, second, q_slab, targets,
                               [SignGroup(", ".join(targets), comps, True)], {}, [])
 
 
@@ -304,20 +290,17 @@ def _row_product_matrix(row_squares, w2_row, spec, weights, what):
     return P
 
 
-def _rank1_factor(P):
-    """Factor a rank-1 PSD product matrix, pivoting on the largest diagonal."""
+def _row_group(label, keys, P):
+    """The row keyed by keys from its rank-1 PSD product matrix, pivoting on the largest diagonal.
+
+    An all-zero row is resolved; otherwise the row's overall sign is open.
+    """
     diag = np.diag(P)
     pivot = int(np.argmax(diag))
     if diag[pivot] <= ZERO_SQUARE:
-        return np.zeros(3), True
-    vals = P[:, pivot] / np.sqrt(diag[pivot])
-    vals = np.where(diag <= ZERO_SQUARE, 0.0, vals)
-    return vals, False
-
-
-def _row_group(label, keys, P):
-    vals, zero = _rank1_factor(P)
-    return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, bool(zero))
+        return SignGroup(label, {k: 0.0 for k in keys}, True)
+    vals = np.where(diag <= ZERO_SQUARE, 0.0, P[:, pivot] / np.sqrt(diag[pivot]))
+    return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, False)
 
 
 def _resolve_linear_sign(fpd, sgn_known, t_unit, names, grams):
@@ -351,8 +334,8 @@ def _recover_diff(fr):
     ckey = fr.key((p, q, 0))
     c2 = float(_clamp(fr.measured(sq_known, [coupling_square_name(P[0], P[1], 1, 1)], ckey),
                       ckey)[0])
-    d = fr.measured(sq_known, [q_square_name(*fr.orig((1, 1, n))) for n in _R3], "fiber squares")
-    fiber_sq = _clamp(_checked_solve((_power_matrix(spec),), d, "fiber square system"), "Q fiber")
+    fiber_sq = _clamp(fr.grid_solve(sq_known, lambda t: q_square_name(*fr.orig((1, 1, t))), (2,),
+                                    [_power_matrix(spec)], "fiber square system"), "Q fiber")
     m = fr.measured(sq_known, [slab_square_name(P[2], n, P[0], 1, P[1], 1) for n in _R3],
                     "fiber products")
     prod = _row_product_matrix(fiber_sq, m, spec, weights, "fiber product system")
@@ -508,9 +491,8 @@ def recover_two_zero(fp, cf):
     Q, each up to the per-row and per-component sign freedoms reported in
     the returned groups.
     """
-    cls = cf.orbit_class
-    if cls.kind == "two-zero-diff":
-        return _recover_diff(_Frame(cf, fp))
-    if cls.kind == "two-zero-same":
-        return _recover_same(_Frame(cf, fp))
-    raise WrongClassError(f"expected a two-zero class, got {cls.tag}")
+    solver = {"two-zero-diff": _recover_diff,
+              "two-zero-same": _recover_same}.get(cf.orbit_class.kind)
+    if solver is None:
+        raise WrongClassError(f"expected a two-zero class, got {cf.orbit_class.tag}")
+    return solver(_Frame(cf, fp))

@@ -25,18 +25,19 @@ __all__ = ["adjoint", "haar_su2", "LocalRotation", "act", "conjugate"]
 UNITARITY_TOL = 1e-10
 
 
-def _check_su2(u):
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise NotSpecialUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
-    unit_dev = np.abs(u.conj().T @ u - np.eye(2)).max()
-    if unit_dev > UNITARITY_TOL:
-        raise NotSpecialUnitaryError(
-            f"unitarity deviation {unit_dev:.3e} exceeds {UNITARITY_TOL:.1e}")
-    det_dev = abs(np.linalg.det(u) - 1.0)
+def _check_special(mat, size, dtype, error, word):
+    """mat as a size x size array of dtype, checked to be unitary (orthogonal when real)
+    with determinant 1; word names the unitarity check in the error."""
+    mat = np.asarray(mat, dtype=dtype)
+    if mat.shape != (size, size):
+        raise error(f"expected a {size}x{size} matrix, got shape {mat.shape}")
+    dev = np.abs(mat.conj().T @ mat - np.eye(size)).max()
+    if dev > UNITARITY_TOL:
+        raise error(f"{word} deviation {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
+    det_dev = abs(np.linalg.det(mat) - 1.0)
     if det_dev > UNITARITY_TOL:
-        raise NotSpecialUnitaryError(f"determinant deviates from 1 by {det_dev:.3e}")
-    return u
+        raise error(f"determinant deviates from 1 by {det_dev:.3e}")
+    return mat
 
 
 def adjoint(u):
@@ -44,7 +45,7 @@ def adjoint(u):
 
     Satisfies adjoint(u @ v) = adjoint(u) @ adjoint(v) and adjoint(-u) = adjoint(u).
     """
-    u = _check_su2(u)
+    u = _check_special(u, 2, complex, NotSpecialUnitaryError, "unitarity")
     udag = u.conj().T
     out = np.empty((3, 3))
     for i in range(3):
@@ -66,20 +67,6 @@ def haar_su2(rng):
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def _check_rotation(mat):
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        raise NotRotationError(f"expected a 3x3 matrix, got shape {mat.shape}")
-    orth_dev = np.abs(mat.T @ mat - np.eye(3)).max()
-    if orth_dev > UNITARITY_TOL:
-        raise NotRotationError(
-            f"orthogonality deviation {orth_dev:.3e} exceeds {UNITARITY_TOL:.1e}")
-    det_dev = abs(np.linalg.det(mat) - 1.0)
-    if det_dev > UNITARITY_TOL:
-        raise NotRotationError(f"determinant deviates from +1 by {det_dev:.3e}")
-    return mat
-
-
 @dataclass(frozen=True)
 class LocalRotation:
     """Triple of proper rotations (L, M, N) acting on qubits 1, 2, 3."""
@@ -90,7 +77,8 @@ class LocalRotation:
 
     def __post_init__(self):
         for name in ("L", "M", "N"):
-            mat = _check_rotation(getattr(self, name))
+            mat = _check_special(getattr(self, name), 3, float, NotRotationError,
+                                 "orthogonality")
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
@@ -130,6 +118,6 @@ def conjugate(rho, u1, u2, u3):
     """Conjugate a density matrix by u1 x u2 x u3 (the oracle for act)."""
     rho = validate_density(rho)
     for u in (u1, u2, u3):
-        _check_su2(u)
+        _check_special(u, 2, complex, NotSpecialUnitaryError, "unitarity")
     big = np.kron(np.kron(u1, u2), u3)
     return big @ rho @ big.conj().T

@@ -98,13 +98,14 @@ def loads_state(text):
 
 
 def load_input(path):
-    """Read a state file ('-' for stdin) and parse it."""
+    """Read a state file ('-' for stdin) and parse it; both are decoded strictly as UTF-8."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc
     return loads_state(text)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lu3q import act, cli, decompose, example_state, ghz_state, serialize
+from lu3q import FormatError, act, cli, decompose, example_state, ghz_state, serialize
 from lu3q.cli import main
 from conftest import physical_bloch, zeroed_tensor
 
@@ -229,6 +230,29 @@ def test_bad_input_exits_three_with_one_error_line(tmp_path, family_file, capsys
     assert capsys.readouterr().err == "lu3q: error: --seed must be non-negative\n"
 
 
+def test_stdin_is_decoded_like_a_file(tmp_path, capsys, monkeypatch):
+    doc = json.loads(serialize.density_to_json(example_state(0.1, 0.0, 0.2)))
+    doc["note"] = "caf\xe9"
+    for encoding, code in (("utf-8", 0), ("latin-1", 3)):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode(encoding))
+        assert main(["fingerprint", str(path)]) == code, encoding
+        from_file = capsys.readouterr()
+        # the interpreter's own stdin decoding, as under a C locale
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["fingerprint", "-"]) == code, encoding
+        assert capsys.readouterr() == from_file, encoding
+
+
+def test_dumps_rejects_what_json_cannot_hold():
+    for value, what in ((float("nan"), "NaN"), (float("-inf"), "infinity"),
+                        (np.float64("inf"), "infinity"), (object(), "type object")):
+        with pytest.raises(FormatError, match=what):
+            serialize.dumps({"x": [value]})
+
+
 def test_missing_file_exit_three(tmp_path, capsys):
     assert main(["decompose", str(tmp_path / "absent.json")]) == 3
     capsys.readouterr()
@@ -244,10 +268,17 @@ def test_usage_errors_exit_three(capsys):
 
 def test_nonpositive_tolerance_exit_three(tmp_path, family_file, capsys):
     src = family_file("rho.json", 0.1, 0.0, 0.2)
-    for flag in ("--tol-abs", "--tol-rel", "--zero-tol", "--deg-tol"):
-        for value in ("0", "-1", "nan", "inf"):
-            assert main(["fingerprint", src, f"{flag}={value}"]) == 3, (flag, value)
-            assert "positive finite" in capsys.readouterr().err
+    comparison, classes = ("--tol-abs", "--tol-rel"), ("--zero-tol", "--deg-tol")
+    for args, flags in ((["compare", src, src], comparison + classes),
+                        (["fingerprint", src], classes), (["reconstruct", src], classes),
+                        (["orbit-test", src], comparison)):
+        for flag in flags:
+            for value in ("0", "-1", "nan", "inf"):
+                assert main([*args, f"{flag}={value}"]) == 3, (args, flag, value)
+                assert "positive finite" in capsys.readouterr().err
+    # a subcommand takes only the tolerances it reads
+    assert main(["fingerprint", src, "--tol-abs=1e-9"]) == 3
+    assert "unrecognized arguments: --tol-abs" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

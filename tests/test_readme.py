@@ -1,11 +1,14 @@
-"""The README's claims: the Library example prints what its comments say, and
-the Thresholds table gives the value of each module constant it names."""
+"""The README's claims: the Library example prints what its comments say, the
+Thresholds table gives the value of each module constant it names, and the
+tolerance flags it lists per subcommand are the ones the parser takes."""
 
 import contextlib
 import importlib
 import io
 import pathlib
 import re
+
+from lu3q.cli import main
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -27,3 +30,23 @@ def test_thresholds_table_matches_module_constants():
     assert len(rows) == 12
     for name, value, module in rows:
         assert getattr(importlib.import_module(f"lu3q.{module}"), name) == float(value), name
+
+
+def test_tolerance_flags_per_subcommand_match_the_parser(capsys):
+    tolerance_flags = ("--tol-abs", "--tol-rel", "--zero-tol", "--deg-tol")
+    taken = {}
+    for command in ("decompose", "fingerprint", "compare", "orbit-test", "reconstruct", "example"):
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        taken[command] = {f for f in tolerance_flags if f"[{f} " in usage}
+    names = lambda text: set(re.findall(r"`([\w-]+)`", text))
+    section = README[README.index("Each subcommand takes only"):README.index("### Thresholds")]
+    listed = {}
+    for commands, flags in re.findall(r"^- ((?:`[\w-]+`(?:, )?)+): (.+)$", section, re.M):
+        listed.update((command, names(flags)) for command in names(commands))
+    assert listed == {c: f for c, f in taken.items() if f}
+    table = README[README.index("### Thresholds"):README.index("## JSON formats")]
+    columns = dict(re.findall(r"\| `(--[\w-]+)` \(([^)]*)\) \|$", table, re.M))
+    assert set(columns) == set(tolerance_flags)
+    for flag, commands in columns.items():
+        assert names(commands) == {c for c, f in taken.items() if flag in f}, flag

@@ -9,8 +9,8 @@ import pytest
 from lu3q import recover
 from lu3q import (BlochTensor, Fingerprint, InconsistentInvariantsError,
                   LocalRotation, SingularSystemError, WrongClassError, act,
-                  canonicalize, full_fingerprint, gram, recover_two_zero,
-                  single_zero_extras, solve_single_zero, vandermonde_system)
+                  canonicalize, full_fingerprint, generic_fingerprint,
+                  recover_two_zero, solve_single_zero, vandermonde_system)
 from conftest import bounded_vector, canonical_q, zeroed_tensor
 
 
@@ -80,27 +80,17 @@ def test_single_zero_round_trip_all_vectors_and_slots(rng):
             assert np.max(np.abs(sol.q_slab - truth[2])) < 1e-8
 
 
-def test_single_zero_apply_round_trip(rng):
-    cf, fp = rotated_case(rng, [("b", 1)])
-    sol = solve_single_zero(fp, cf)
-    t = cf.tensor
-    R, T, Q = t.R.copy(), t.T.copy(), t.Q.copy()
-    R[:, 1] = 0.0
-    T[1, :] = 0.0
-    Q[:, 1, :] = 0.0
-    blanked = dataclasses.replace(t, R=R, T=T, Q=Q)
-    applied = sol.apply(blanked)
-    assert np.max(np.abs(applied.components() - t.components())) < 1e-8
-    fpd = dict(fp.entries)
-    for name, value in single_zero_extras(applied, "b"):
-        assert abs(value - fpd[name]) < 1e-8 + 1e-8 * abs(fpd[name])
-
-
 def test_single_zero_wrong_class(rng):
     cf = canonicalize(zeroed_tensor(rng, []))
     fp = full_fingerprint(cf.tensor, cf.orbit_class)
     with pytest.raises(WrongClassError):
         solve_single_zero(fp, cf)
+
+
+def test_single_zero_needs_the_extra_invariants(rng):
+    cf, _ = rotated_case(rng, [("b", 0)])
+    with pytest.raises(ValueError, match="fingerprint lacks entry 'tri:b,Rta:r=1'"):
+        solve_single_zero(generic_fingerprint(cf.tensor), cf)
 
 
 def test_single_zero_singular_threshold(rng, monkeypatch):
@@ -240,6 +230,14 @@ def test_two_zero_diff_without_couplings_leaves_fiber_sign_open(rng):
     # every sign-resolution invariant of the fiber passes through R, S or T
     assert [g.label for g in rec.groups if not g.resolved] == ["Q[1,2,:]"]
     assert_recovers_canonical(rec, cf.tensor)
+
+
+def test_slab_sign_groups_rejects_contradictory_triangle():
+    # the products around the triangle (1,1)-(1,2)-(1,3) multiply to a negative number
+    edges = {((0, 0), (0, 1)): 0.5, ((0, 1), (0, 2)): 0.5, ((0, 0), (0, 2)): -0.5}
+    with pytest.raises(InconsistentInvariantsError, match="contradictory sign products"):
+        recover._slab_sign_groups("Q[1,:,:]", np.ones((3, 3)), edges,
+                                  lambda u, v: f"Q[1,{u + 1},{v + 1}]")
 
 
 def test_two_zero_wrong_class(rng):
