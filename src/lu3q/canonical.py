@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import TOL_ABS, TOL_REL, Fingerprint, fingerprint_families, first_mismatch
+from .invariants import (_GRAM_NAMES, _VEC_NAMES, TOL_ABS, TOL_REL, Fingerprint,
+                         fingerprint_families, first_mismatch)
 # Unused here; kept importable because bench/spans.py wraps them in this module.
 from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
 from .pauli import decompose
@@ -53,8 +54,7 @@ class Tolerances:
     deg_tol: float = DEG_TOL
 
     def __post_init__(self):
-        for name in ("tol_abs", "tol_rel", "zero_tol", "deg_tol"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
 
@@ -135,13 +135,13 @@ def _classify(spectra, masks, deg_tol):
     """Orbit class from the Gram spectra and the non-zero masks of alpha, beta, gamma."""
     scale = max(float(s[0]) for s in spectra)
     spectra_t = tuple(tuple(float(x) for x in s) for s in spectra)
-    for name, s in zip("XYZ", spectra):
+    for name, s in zip(_GRAM_NAMES, spectra):
         for i in range(2):
             gap = s[i] - s[i + 1]
             if gap <= deg_tol * scale:
                 reason = f"{name} gap {i + 1}"
                 return OrbitClass("degenerate", (), reason, spectra_t)
-    slots = tuple((vn, i + 1) for vn, mask in zip("abg", masks) for i in range(3) if not mask[i])
+    slots = tuple((vn, i + 1) for vn, mask in zip(_VEC_NAMES, masks) for i in range(3) if not mask[i])
     if len(slots) == 0:
         return OrbitClass("generic", (), "", spectra_t)
     if len(slots) == 1:
@@ -184,7 +184,7 @@ def _stages(rho, b, spectra, orbit_class):
     yield next(families)
     ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     entries = [(f"spec:rho[{i}]", float(x)) for i, x in enumerate(ev)]
-    for name, s in zip("XYZ", spectra):
+    for name, s in zip(_GRAM_NAMES, spectra):
         entries += [(f"spec:{name}[{i}]", x) for i, x in enumerate(s)]
     yield entries
     yield from families

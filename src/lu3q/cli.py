@@ -147,6 +147,8 @@ def _cmd_fingerprint(args):
 
 def _cmd_compare(args):
     tols = _tolerances(args)
+    if args.input_a == args.input_b == "-":
+        raise FormatError("stdin ('-') can be given for one input only")
     _, rho1 = _load_state(args.input_a)
     _, rho2 = _load_state(args.input_b)
     verdict = equivalent(rho1, rho2, tols)

@@ -155,8 +155,7 @@ def _generic_entries(ctx):
     for vn, gn, cols, v in zip(_VEC_NAMES, _GRAM_NAMES, ctx.V, (b.alpha, b.beta, b.gamma)):
         for r in _R3:
             out.append((f"{vn}{gn}{vn}:r={r}", float(cols[:, r - 1] @ v)))
-    for vn, cols, cof in zip(_VEC_NAMES, ctx.V, ctx.cof):
-        out.append((f"tri:{vn}", float(cof @ cols[:, 2])))
+    out += [(f"tri:{vn}", _chain(ctx, (q,), 3)) for q, vn in enumerate(_VEC_NAMES)]
     for p, q in _PAIRS:
         grid = ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q]
         label = f"{_VEC_NAMES[p]}{_COUPLING[p, q]}{_VEC_NAMES[q]}"
@@ -168,11 +167,18 @@ def _generic_entries(ctx):
     return out
 
 
+def _chain(ctx, path, r):
+    """Cofactor of vector path[0] against the couplings along path, ending in G^{r-1} v."""
+    v = ctx.V[path[-1]][:, r - 1]
+    for p, q in zip(path[-2::-1], path[:0:-1]):
+        v = ctx.C[p, q] @ v
+    return float(ctx.cof[path[0]] @ v)
+
+
 def _extras_entries(ctx, q):
     """The 15 extra invariants for a vanishing component of vector q."""
     o1, o2 = _PAIRS[2 - q]
-    out = [(extra_name(q, o, r), float(ctx.cof[q] @ (ctx.C[q, o] @ ctx.V[o][:, r - 1])))
-           for o in (o1, o2) for r in _R3]
+    out = [(extra_name(q, o, r), _chain(ctx, (q, o), r)) for o in (o1, o2) for r in _R3]
     contract = f"ijk,{_axes(o1)},{_axes(o2)}->{_axes(q)}"
     for r, s in _GRID2:
         w = np.einsum(contract, ctx.b.Q, ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1])
@@ -209,13 +215,7 @@ def _squared_entries(ctx):
 
 def _sign_entries(ctx):
     b, P = ctx.b, ctx.P
-    out = []
-    for path in _SIGN_PATHS:
-        for r in _R3:
-            v = ctx.V[2][:, r - 1]
-            for p, q in zip(path[-2::-1], path[:0:-1]):
-                v = ctx.C[p, q] @ v
-            out.append((sign_name(path, r), float(ctx.cof[path[0]] @ v)))
+    out = [(sign_name(path, r), _chain(ctx, path, r)) for path in _SIGN_PATHS for r in _R3]
     for q in (0, 1):
         o = 1 - q
         contract = f"ijk,{_axes(o, 2)}->{_axes(q)}"

@@ -11,6 +11,9 @@ with * the tensor product, s_1 = sigma_x, s_2 = sigma_y, s_3 = sigma_z and
 implicit sums over 1..3.  Qubit 1 is the leftmost tensor factor, so basis
 state |q1 q2 q3> has index 4*q1 + 2*q2 + q3.  Every coefficient equals the
 expectation value tr(rho * P) of the corresponding Pauli string P.
+
+One table, _LAYOUT, places each BlochTensor field in the 4x4x4 Pauli
+coefficient array; every function that lists the fields reads it.
 """
 
 from __future__ import annotations
@@ -48,12 +51,24 @@ PAULI = np.array(
     dtype=complex,
 )
 
+# Each BlochTensor field, in field order (also that of the 63-vector and of the JSON
+# keys), and its block of the 4x4x4 coefficient array: 0 on an axis is the identity.
+_LAYOUT = {
+    "alpha": np.s_[1:, 0, 0],
+    "beta": np.s_[0, 1:, 0],
+    "gamma": np.s_[0, 0, 1:],
+    "R": np.s_[1:, 1:, 0],
+    "S": np.s_[1:, 0, 1:],
+    "T": np.s_[0, 1:, 1:],
+    "Q": np.s_[1:, 1:, 1:],
+}
+_SHAPES = {name: np.empty((4, 4, 4))[block].shape for name, block in _LAYOUT.items()}
+_ENDS = np.cumsum([np.prod(shape) for shape in _SHAPES.values()]).tolist()
+_SPANS = [(slice(s, e), shape) for s, e, shape in zip([0] + _ENDS, _ENDS, _SHAPES.values())]
+
 # All 64 Pauli strings, indexed [i, j, k, :, :] with i, j, k in 0..3.
-_STRINGS = np.zeros((4, 4, 4, 8, 8), dtype=complex)
-for _i in range(4):
-    for _j in range(4):
-        for _k in range(4):
-            _STRINGS[_i, _j, _k] = np.kron(np.kron(PAULI[_i], PAULI[_j]), PAULI[_k])
+_STRINGS = np.array([np.kron(np.kron(PAULI[i], PAULI[j]), PAULI[k])
+                     for i, j, k in np.ndindex(4, 4, 4)]).reshape(4, 4, 4, 8, 8)
 
 
 def pauli_string(i, j, k):
@@ -120,9 +135,7 @@ class BlochTensor:
     Q: np.ndarray
 
     def __post_init__(self):
-        shapes = {"alpha": (3,), "beta": (3,), "gamma": (3,),
-                  "R": (3, 3), "S": (3, 3), "T": (3, 3), "Q": (3, 3, 3)}
-        for name, shape in shapes.items():
+        for name, shape in _SHAPES.items():
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -131,19 +144,14 @@ class BlochTensor:
 
     def components(self):
         """Flatten to the 63-vector (alpha, beta, gamma, R, S, T, Q), row-major."""
-        return np.concatenate([
-            self.alpha, self.beta, self.gamma,
-            self.R.ravel(), self.S.ravel(), self.T.ravel(), self.Q.ravel(),
-        ])
+        return np.concatenate([getattr(self, name).ravel() for name in _LAYOUT])
 
     @classmethod
     def from_components(cls, vec):
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (63,):
             raise ValueError(f"expected 63 components, got shape {vec.shape}")
-        return cls(vec[0:3], vec[3:6], vec[6:9],
-                   vec[9:18].reshape(3, 3), vec[18:27].reshape(3, 3),
-                   vec[27:36].reshape(3, 3), vec[36:63].reshape(3, 3, 3))
+        return cls(*[vec[span].reshape(shape) for span, shape in _SPANS])
 
     def permute(self, perm):
         """Relabel the qubits: qubit i of the result is qubit perm[i] of self.
@@ -164,30 +172,18 @@ def _coefficients(b):
     """The 4x4x4 array of all 64 Pauli coefficients, [0, 0, 0] = 1."""
     vals = np.zeros((4, 4, 4))
     vals[0, 0, 0] = 1.0
-    vals[1:, 0, 0] = b.alpha
-    vals[0, 1:, 0] = b.beta
-    vals[0, 0, 1:] = b.gamma
-    vals[1:, 1:, 0] = b.R
-    vals[1:, 0, 1:] = b.S
-    vals[0, 1:, 1:] = b.T
-    vals[1:, 1:, 1:] = b.Q
+    for name, block in _LAYOUT.items():
+        vals[block] = getattr(b, name)
     return vals
 
 
 def _from_coefficients(vals):
     """BlochTensor of a 4x4x4 Pauli coefficient array (inverse of _coefficients)."""
-    return BlochTensor(
-        alpha=vals[1:, 0, 0],
-        beta=vals[0, 1:, 0],
-        gamma=vals[0, 0, 1:],
-        R=vals[1:, 1:, 0],
-        S=vals[1:, 0, 1:],
-        T=vals[0, 1:, 1:],
-        Q=vals[1:, 1:, 1:],
-    )
+    return BlochTensor(*[vals[block] for block in _LAYOUT.values()])
 
 
-_KEY_MATRIX = {(1, 1, 0): "R", (1, 0, 1): "S", (0, 1, 1): "T", (1, 1, 1): "Q"}
+_KEY_MATRIX = {tuple(int(ix != 0) for ix in block): name
+               for name, block in _LAYOUT.items() if len(_SHAPES[name]) > 1}
 
 
 @functools.cache   # reconstruction asks for the same few dozen keys on every call
@@ -244,30 +240,14 @@ def density_from_dict(data):
 
 
 def bloch_to_dict(b):
-    return {
-        "alpha": b.alpha.tolist(),
-        "beta": b.beta.tolist(),
-        "gamma": b.gamma.tolist(),
-        "R": b.R.tolist(),
-        "S": b.S.tolist(),
-        "T": b.T.tolist(),
-        "Q": b.Q.tolist(),
-    }
+    return {name: getattr(b, name).tolist() for name in _LAYOUT}
 
 
 def bloch_from_dict(data):
     if not isinstance(data, dict) or "alpha" not in data:
         raise FormatError('coefficient payload must be an object with an "alpha" key')
     try:
-        b = BlochTensor(
-            alpha=np.asarray(data["alpha"], dtype=float),
-            beta=np.asarray(data["beta"], dtype=float),
-            gamma=np.asarray(data["gamma"], dtype=float),
-            R=np.asarray(data["R"], dtype=float),
-            S=np.asarray(data["S"], dtype=float),
-            T=np.asarray(data["T"], dtype=float),
-            Q=np.asarray(data["Q"], dtype=float),
-        )
+        b = BlochTensor(*[np.asarray(data[name], dtype=float) for name in _LAYOUT])
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad coefficient payload: {exc}") from exc
     _finite(b.components(), "coefficients")

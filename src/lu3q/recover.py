@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import (InconsistentInvariantsError, SingularSystemError,
                      WrongClassError)
-from .invariants import (coupling_square_name, extra_name, extra_q_name,
-                         q_square_name, sign_name, sign_q_name,
+from .invariants import (_PAIRS, _R3, _VEC_NAMES, coupling_square_name, extra_name,
+                         extra_q_name, q_square_name, sign_name, sign_q_name,
                          sign_resolution, single_zero_extras,
                          slab_square_name, squared_family, vector_square_name)
 from .pauli import _coefficients, _from_coefficients, component_key
@@ -66,10 +66,6 @@ MIN_DET = 1e-10        # smallest relative determinant a solve accepts
 SQUARE_FLOOR = -1e-9   # a solved square below this is inconsistent
 ZERO_SQUARE = 1e-8     # a solved square at or below this is an exact zero
 SIGN_DEN_TOL = 1e-9    # smallest sign-invariant response that fixes a sign
-
-_VECTORS = ("a", "b", "g")
-_R3 = (1, 2, 3)
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _power_matrix(spec):
@@ -115,7 +111,7 @@ class _Frame:
 
     def __init__(self, cf, fp):
         cls = cf.orbit_class
-        self.perm = _frame_perm(_VECTORS.index(v) for v, _ in cls.slots)
+        self.perm = _frame_perm(_VEC_NAMES.index(v) for v, _ in cls.slots)
         self.inverse = tuple(self.perm.index(n) for n in range(3))
         # a per-qubit tuple (Pauli index or powers) from frame to canonical qubit order
         self.orig = operator.itemgetter(*self.inverse)
@@ -187,14 +183,14 @@ def vandermonde_system(cf):
     cls = cf.orbit_class
     if cls.kind != "single-zero":
         raise WrongClassError(f"expected a single-zero class, got {cls.tag}")
-    _, first, second = _frame_perm([_VECTORS.index(cls.slots[0][0])])
+    _, first, second = _frame_perm([_VEC_NAMES.index(cls.slots[0][0])])
     vecs = (cf.tensor.alpha, cf.tensor.beta, cf.tensor.gamma)
     return VandermondeSystem(
         Lambda=_power_matrix(cls.spectra[first]),
         Theta=_power_matrix(cls.spectra[second]),
         F=np.diag(vecs[first]),
         G=np.diag(vecs[second]),
-        vectors=(_VECTORS[first], _VECTORS[second]),
+        vectors=(_VEC_NAMES[first], _VEC_NAMES[second]),
     )
 
 
@@ -234,7 +230,7 @@ def solve_single_zero(fp, cf):
         raise SingularSystemError(
             f"triple-product prefactor {pref:.3e} too small to solve", abs(pref))
 
-    known = dict(single_zero_extras(fr.known(_row_mask([p])), _VECTORS[zq], fr.grams))
+    known = dict(single_zero_extras(fr.known(_row_mask([p])), _VEC_NAMES[zq], fr.grams))
 
     A1, A2 = vsys.Lambda @ vsys.F, vsys.Theta @ vsys.G
     first = fr.grid_solve(known, functools.partial(extra_name, zq, fr.perm[1]), (1,), [A1],
@@ -348,7 +344,7 @@ def _recover_diff(fr):
     c_mag = float(np.sqrt(c2))
     if P[:2] != (0, 1):
         notes = [f"sign-resolution invariants cover zeros in (a, b); "
-                 f"pair ({_VECTORS[P[0]]}, {_VECTORS[P[1]]}) reports magnitudes only"]
+                 f"pair ({_VEC_NAMES[P[0]]}, {_VEC_NAMES[P[1]]}) reports magnitudes only"]
         coupling = SignGroup(ckey, {ckey: c_mag}, bool(c2 <= ZERO_SQUARE))
         return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], notes)
 

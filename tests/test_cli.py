@@ -246,6 +246,16 @@ def test_stdin_is_decoded_like_a_file(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == from_file, encoding
 
 
+def test_compare_takes_stdin_for_one_input_only(family_file, capsys, monkeypatch):
+    text = serialize.density_to_json(example_state(0.1, 0.0, 0.2))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+    assert main(["compare", "-", "-"]) == 3
+    assert capsys.readouterr().err == "lu3q: error: stdin ('-') can be given for one input only\n"
+    # the refusal read nothing: stdin still serves one of the inputs
+    assert main(["compare", "-", family_file("rho2.json", -0.1, 0.0, 0.2)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
+
+
 def test_dumps_rejects_what_json_cannot_hold():
     for value, what in ((float("nan"), "NaN"), (float("-inf"), "infinity"),
                         (np.float64("inf"), "infinity"), (object(), "type object")):

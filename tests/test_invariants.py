@@ -142,6 +142,21 @@ def test_sign_family_matches_cofactor_oracle(rng):
         assert abs(sg[f"sgn:bRtSg:r={r}"] - direct) < 1e-9 * max(1, abs(direct))
 
 
+def test_sign_entries_shared_with_extras_are_bit_identical(rng):
+    """sgn:bTg and sgn:aSg are the extras tri:b,Tg and tri:a,Sg; they must stay equal exactly."""
+    shared = [(f"sgn:{s}:r={r}", f"tri:{t}:r={r}")
+              for s, t in (("bTg", "b,Tg"), ("aSg", "a,Sg")) for r in (1, 2, 3)]
+    for _ in range(30):
+        b = random_bloch(rng)
+        every = dict(all_invariants(b))
+        for grams in (None, gram(random_bloch(rng).Q)):
+            sg = dict(sign_resolution(b, grams))
+            ex = dict(single_zero_extras(b, "a", grams) + single_zero_extras(b, "b", grams))
+            for sign, extra in shared:
+                assert every[sign] == every[extra], (sign, extra)
+                assert sg[sign] == ex[extra], (sign, extra, grams is None)
+
+
 def test_extras_closed_form_at_canonical_point(rng):
     """With X diagonal and alpha_3 = 0 the cofactor collapses to one term."""
     for _ in range(10):

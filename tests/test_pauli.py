@@ -198,6 +198,22 @@ def test_permute_matches_qubit_swap_of_density(rng):
             assert np.max(np.abs(reconstruct(b.permute(perm)) - swapped)) < 1e-15
 
 
+def test_components_layout_matches_oracle(rng):
+    """Position n of the 63-vector holds tr(rho P_n), P_n running over alpha (0:3),
+    beta, gamma, R, S, T and Q (36:63), each block row-major."""
+    supports = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    order = [idx for support in supports
+             for idx in itertools.product(*[(1, 2, 3) if s else (0,) for s in support])]
+    assert len(order) == 63 and order[:3] == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert order[36:38] == [(1, 1, 1), (1, 1, 2)]
+    for _ in range(5):
+        rho = random_density(rng)
+        coef = oracle_decompose(rho)
+        expected = np.array([coef[idx] for idx in order])
+        assert np.max(np.abs(decompose(rho).components() - expected)) < 1e-13
+        assert np.max(np.abs(reconstruct(BlochTensor.from_components(expected)) - rho)) < 1e-13
+
+
 def test_component_key():
     assert component_key((2, 3, 0)) == "R[2,3]"
     assert component_key((1, 0, ":")) == "S[1,:]"

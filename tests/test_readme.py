@@ -1,14 +1,20 @@
 """The README's claims: the Library example prints what its comments say, the
-Thresholds table gives the value of each module constant it names, and the
-tolerance flags it lists per subcommand are the ones the parser takes."""
+Command line block runs, the Thresholds table gives the value of each module
+constant it names, the tolerance flags it lists per subcommand are the ones
+the parser takes, and coefficient-tensor JSON has its keys in the order shown."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
+import json
 import pathlib
 import re
+import shlex
 
+from lu3q import BlochTensor, bloch_to_dict
 from lu3q.cli import main
+from conftest import physical_bloch
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -50,3 +56,30 @@ def test_tolerance_flags_per_subcommand_match_the_parser(capsys):
     assert set(columns) == set(tolerance_flags)
     for flag, commands in columns.items():
         assert names(commands) == {c for c, f in taken.items() if flag in f}, flag
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", README, re.S | re.M).group(1)
+    lines = block.splitlines()
+    commands = [i for i, line in enumerate(lines) if line.startswith("lu3q ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for i in commands:
+        argv = shlex.split(lines[i])[1:]
+        assert main(argv) == 0, lines[i]
+        out = capsys.readouterr().out
+        if argv[0] == "compare":
+            shown = []
+            for line in lines[i + 1:]:
+                if not line.startswith("#"):
+                    break
+                shown.append(line[1:])
+            assert json.loads(out) == json.loads("".join(shown))
+            assert json.loads(out)["verdict"] == "equivalent"
+
+
+def test_coefficient_tensor_keys_in_readme_order(rng):
+    block = README[README.index("Coefficient tensor"):README.index("`fingerprint` emits")]
+    keys = re.findall(r'"(\w+)":', block)
+    assert keys == [f.name for f in dataclasses.fields(BlochTensor)]
+    assert list(bloch_to_dict(physical_bloch(rng))) == keys
