@@ -17,7 +17,10 @@ enumeration order so fingerprints compare positionally:
                    zeros in alpha and beta.
 
 Power indices r, s, t always run 1..3 and enter as G^{r-1}, so only the
-0th..2nd matrix powers appear (plus cubes inside the trace family).
+0th..2nd matrix powers appear (plus cubes inside the trace family).  A
+family computes each power grid as one array and names its entries through
+grid_names, first power outermost (r, then s, then t); recover reads the
+grids it solves back through the same helper.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "first_mismatch",
     "q_trilinear",
     "q_trilinear_flat",
+    "grid_names",
     "extra_name", "extra_q_name", "coupling_square_name", "q_square_name",
     "vector_square_name", "slab_square_name", "sign_name", "sign_q_name",
 ]
@@ -54,7 +58,6 @@ _GRAM_NAMES = "XYZ"
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # _PAIRS[2 - q] holds the qubits other than q
 _R3 = (1, 2, 3)
 _GRID2 = tuple(itertools.product(_R3, repeat=2))
-_GRID3 = tuple(itertools.product(_R3, repeat=3))
 _SIGN_PATHS = ((1, 2), (0, 2), (0, 1, 2), (1, 0, 2))
 # R, S, T for the couplings of qubits (0,1), (0,2), (1,2); "t" marks the transpose
 _COUPLING = {(p, q): "RST"[p + q - 1] + ("t" if p > q else "")
@@ -122,7 +125,7 @@ def sign_q_name(q, r, s):
 
 
 class _Ctx:
-    """Per-tensor cache: Gram powers, power-weighted vectors, couplings, per qubit.
+    """Per-tensor cache: Gram powers, power-weighted vectors, couplings, per qubit, and chains.
 
     When grams is given, those matrices replace the ones derived from b.Q;
     reconstruction uses this to evaluate families on a partially zeroed
@@ -138,8 +141,19 @@ class _Ctx:
         self.V = [np.stack([p @ v for p in powers], axis=1)
                   for powers, v in zip(self.P, (b.alpha, b.beta, b.gamma))]
         self.cof = [triple_cofactor(v[:, 0], v[:, 1]) for v in self.V]
+        self.chains = {}   # _chain values by (path, r)
         self.C = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
                   (1, 2): b.T, (2, 1): b.T.T}
+
+
+def grid_names(name, ndim):
+    """Names of an ndim power grid, first power outermost: name(1,..,1), name(1,..,2), ..."""
+    return [name(*powers) for powers in itertools.product(_R3, repeat=ndim)]
+
+
+def _block(name, grid):
+    """(name, value) entries of a power grid, named through grid_names."""
+    return list(zip(grid_names(name, grid.ndim), grid.ravel().tolist()))
 
 
 def _axes(*qubits):
@@ -150,29 +164,32 @@ def _generic_entries(ctx):
     b = ctx.b
     out = []
     for n, g, g2 in zip(_GRAM_NAMES, ctx.G, (p[2] for p in ctx.P)):
-        for r, val in enumerate((np.trace(g), np.trace(g2), np.einsum("ij,ji->", g2, g)), 1):
-            out.append((f"tr{n}^{r}", float(val)))
+        traces = np.array([np.trace(g), np.trace(g2), np.einsum("ij,ji->", g2, g)])
+        out += _block(lambda r: f"tr{n}^{r}", traces)
     for vn, gn, cols, v in zip(_VEC_NAMES, _GRAM_NAMES, ctx.V, (b.alpha, b.beta, b.gamma)):
-        for r in _R3:
-            out.append((f"{vn}{gn}{vn}:r={r}", float(cols[:, r - 1] @ v)))
+        out += _block(lambda r: f"{vn}{gn}{vn}:r={r}", v @ cols)
     out += [(f"tri:{vn}", _chain(ctx, (q,), 3)) for q, vn in enumerate(_VEC_NAMES)]
     for p, q in _PAIRS:
-        grid = ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q]
         label = f"{_VEC_NAMES[p]}{_COUPLING[p, q]}{_VEC_NAMES[q]}"
-        for r, s in _GRID2:
-            out.append((f"{label}:r={r},s={s}", float(grid[r - 1, s - 1])))
+        out += _block(lambda r, s: f"{label}:r={r},s={s}", ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q])
     tri = np.einsum("ir,js,kt,ijk->rst", *ctx.V, b.Q)
-    for r, s, t in _GRID3:
-        out.append((f"Q:r={r},s={s},t={t}", float(tri[r - 1, s - 1, t - 1])))
+    out += _block(lambda r, s, t: f"Q:r={r},s={s},t={t}", tri)
     return out
 
 
 def _chain(ctx, path, r):
-    """Cofactor of vector path[0] against the couplings along path, ending in G^{r-1} v."""
-    v = ctx.V[path[-1]][:, r - 1]
-    for p, q in zip(path[-2::-1], path[:0:-1]):
-        v = ctx.C[p, q] @ v
-    return float(ctx.cof[path[0]] @ v)
+    """Cofactor of vector path[0] against the couplings along path, ending in G^{r-1} v.
+
+    Memoized on the context: the sign entries sgn:bTg and sgn:aSg are the
+    extras tri:b,Tg and tri:a,Sg, and one context serves both families.
+    """
+    key = path, r
+    if key not in ctx.chains:
+        v = ctx.V[path[-1]][:, r - 1]
+        for p, q in zip(path[-2::-1], path[:0:-1]):
+            v = ctx.C[p, q] @ v
+        ctx.chains[key] = float(ctx.cof[path[0]] @ v)
+    return ctx.chains[key]
 
 
 def _extras_entries(ctx, q):
@@ -187,29 +204,25 @@ def _extras_entries(ctx, q):
 
 
 def _squared_entries(ctx):
-    b, P = ctx.b, ctx.P
+    b, C, V = ctx.b, ctx.C, ctx.V
+    P = [np.stack(powers) for powers in ctx.P]   # P[q][r-1] = G_q^{r-1}
     out = []
     for p, q in _PAIRS:
-        mat = ctx.C[p, q]
-        for r, s in _GRID2:
-            val = np.einsum("ij,jk,lk,li->", mat, P[q][r - 1], mat, P[p][s - 1])
-            out.append((coupling_square_name(p, q, s, r), float(val)))
-    qq = np.einsum("ria,abc,sbe,tcf,ief->rst",
-                   np.stack(P[0]), b.Q, np.stack(P[1]), np.stack(P[2]), b.Q)
-    for r, s, t in _GRID3:
-        out.append((q_square_name(r, s, t), float(qq[r - 1, s - 1, t - 1])))
+        grid = np.einsum("ij,rjk,lk,sli->rs", C[p, q], P[q], C[p, q], P[p])
+        out += _block(lambda r, s: coupling_square_name(p, q, s, r), grid)
+    # one five-operand einsum: the two-zero-same Q-square solve amplifies a new summation order
+    out += _block(q_square_name, np.einsum("ria,abc,sbe,tcf,ief->rst", P[0], b.Q, P[1], P[2], b.Q))
     for pair in _PAIRS:
         for q, o in (pair, pair[::-1]):
-            for r, s in _GRID2:
-                v = P[q][r - 1] @ (ctx.C[q, o] @ ctx.V[o][:, s - 1])
-                out.append((vector_square_name(q, o, r, s), float(v @ v)))
+            w = P[q] @ (C[q, o] @ V[o])   # [r, :, s] = G_q^{r-1} C_qo G_o^{s-1} v_o
+            out += _block(functools.partial(vector_square_name, q, o),
+                          np.einsum("ris,ris->rs", w, w))
     for q in range(3):
         o1, o2 = _PAIRS[2 - q]
-        contract = f"ijk,{_axes(q)}->{_axes(o1, o2)}"
-        ws = [np.einsum(contract, b.Q, ctx.V[q][:, t]) for t in range(3)]
-        for r, s, t in _GRID3:
-            m = P[o1][r - 1] @ ws[t - 1] @ P[o2][s - 1]
-            out.append((slab_square_name(q, t, o1, r, o2, s), float(np.sum(m * m))))
+        w = np.einsum(f"ijk,{_axes(q)}t->t{_axes(o1, o2)}", b.Q, V[q])   # [t] = Q . G_q^{t-1} v_q
+        m = P[o1][:, None, None] @ w @ P[o2][None, :, None]   # [r, s, t] = G^{r-1} w_t G^{s-1}
+        out += _block(lambda r, s, t: slab_square_name(q, t, o1, r, o2, s),
+                      np.einsum("rstxy,rstxy->rst", m, m))
     return out
 
 

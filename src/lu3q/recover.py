@@ -5,7 +5,8 @@ qubits so that the qubits holding the zeros come first and the others follow
 in ascending order: a zero in beta or gamma becomes a zero in alpha, and
 zeros in (alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  Each
 solver below is written once, for that alpha (or alpha-beta) case.  Every
-Vandermonde system is built and solved by _Frame.grid_solve; only the
+Vandermonde system is built and solved by _Frame.grid_solve, which names
+its grid through invariants.grid_names as the families do; only the
 row-product systems of _row_product_matrix are not.  Frame qubit n is
 qubit perm[n] of the canonical tensor.  Invariant names are built from
 canonical qubit indices by the builders of the invariants module, and
@@ -45,9 +46,9 @@ import numpy as np
 
 from .errors import (InconsistentInvariantsError, SingularSystemError,
                      WrongClassError)
-from .invariants import (_PAIRS, _R3, _VEC_NAMES, coupling_square_name, extra_name,
-                         extra_q_name, q_square_name, sign_name, sign_q_name,
-                         sign_resolution, single_zero_extras,
+from .invariants import (_PAIRS, _R3, _VEC_NAMES, Fingerprint, coupling_square_name,
+                         extra_name, extra_q_name, grid_names, q_square_name, sign_name,
+                         sign_q_name, sign_resolution, single_zero_extras,
                          slab_square_name, squared_family, vector_square_name)
 from .pauli import _coefficients, _from_coefficients, component_key
 from .tensor_ops import triple_cofactor
@@ -101,17 +102,13 @@ def _clamp(squares, what):
     return np.maximum(squares, 0.0)
 
 
-def _frame_perm(zero_qubits):
-    """Zero qubits first, in order, then the other qubits ascending."""
-    return tuple(dict.fromkeys([*zero_qubits, 0, 1, 2]))
-
-
 class _Frame:
     """A canonical form and its fingerprint, seen with the zero qubits first."""
 
     def __init__(self, cf, fp):
         cls = cf.orbit_class
-        self.perm = _frame_perm(_VEC_NAMES.index(v) for v, _ in cls.slots)
+        # zero qubits first, in order, then the other qubits ascending
+        self.perm = tuple(dict.fromkeys([*(_VEC_NAMES.index(v) for v, _ in cls.slots), 0, 1, 2]))
         self.inverse = tuple(self.perm.index(n) for n in range(3))
         # a per-qubit tuple (Pauli index or powers) from frame to canonical qubit order
         self.orig = operator.itemgetter(*self.inverse)
@@ -148,8 +145,7 @@ class _Frame:
         """
         shape = (3,) * len(qubits)
         order = sorted(range(len(qubits)), key=lambda a: self.perm[qubits[a]])
-        names = np.array([name(*powers) for powers in itertools.product(_R3, repeat=len(shape))],
-                         dtype=object).reshape(shape)
+        names = np.array(grid_names(name, len(shape)), dtype=object).reshape(shape)
         d = self.measured(known, names.transpose(order).ravel(), what)
         sol = _checked_solve([lams[a] for a in order], d, what)
         return sol.reshape(shape).transpose(np.argsort(order))
@@ -179,19 +175,24 @@ class VandermondeSystem:
     vectors: tuple
 
 
-def vandermonde_system(cf):
+def _single_zero_frame(cf, fp):
+    """The frame of a single-zero form and the Vandermonde pair of its qubits 1 and 2."""
     cls = cf.orbit_class
     if cls.kind != "single-zero":
         raise WrongClassError(f"expected a single-zero class, got {cls.tag}")
-    _, first, second = _frame_perm([_VEC_NAMES.index(cls.slots[0][0])])
-    vecs = (cf.tensor.alpha, cf.tensor.beta, cf.tensor.gamma)
-    return VandermondeSystem(
-        Lambda=_power_matrix(cls.spectra[first]),
-        Theta=_power_matrix(cls.spectra[second]),
-        F=np.diag(vecs[first]),
-        G=np.diag(vecs[second]),
-        vectors=(_VEC_NAMES[first], _VEC_NAMES[second]),
+    fr = _Frame(cf, fp)
+    return fr, VandermondeSystem(
+        Lambda=_power_matrix(fr.spectra[1]),
+        Theta=_power_matrix(fr.spectra[2]),
+        F=np.diag(fr.vectors[1]),
+        G=np.diag(fr.vectors[2]),
+        vectors=(_VEC_NAMES[fr.perm[1]], _VEC_NAMES[fr.perm[2]]),
     )
+
+
+def vandermonde_system(cf):
+    """The Vandermonde pair of a single-zero canonical form (reads no fingerprint value)."""
+    return _single_zero_frame(cf, Fingerprint(cf.orbit_class.tag))[1]
 
 
 @dataclass
@@ -219,8 +220,7 @@ def solve_single_zero(fp, cf):
     and SingularSystemError when a system determinant or the triple-product
     prefactor is below threshold.
     """
-    vsys = vandermonde_system(cf)
-    fr = _Frame(cf, fp)
+    fr, vsys = _single_zero_frame(cf, fp)
     zq, p = fr.perm[0], fr.slots[0]
 
     v = fr.vectors[0]

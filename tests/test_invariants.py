@@ -105,24 +105,45 @@ def test_triple_invariants_match_determinant(rng):
 
 
 def test_squared_family_matches_norm_oracle(rng):
-    b = random_bloch(rng)
-    sq = dict(squared_family(b))
-    X, Y, Z = gram(b.Q)
+    """All 13 squared blocks against their definitions, with the tensor's own and pinned Grams."""
     powers = lambda m: [np.eye(3), m, m @ m]
-    Xp, Yp, Zp = powers(X), powers(Y), powers(Z)
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            direct = np.trace(b.R @ Yp[r - 1] @ b.R.T @ Xp[s - 1])
-            assert abs(sq[f"sq:RYRX:r={r},s={s}"] - direct) < 1e-9 * max(1, abs(direct))
-            v = Xp[r - 1] @ b.R @ Yp[s - 1] @ b.beta
-            assert abs(sq[f"sq:XRYb:r={r},s={s}"] - v @ v) < 1e-9 * max(1, abs(v @ v))
-            for t in (1, 2, 3):
-                direct = np.einsum("ia,jb,kc,abc,ijk->", Xp[r - 1], Yp[s - 1],
-                                   Zp[t - 1], b.Q, b.Q)
-                assert abs(sq[f"sq:QXQYZ:r={r},s={s},t={t}"] - direct) < 1e-9 * max(1, abs(direct))
-                w = np.einsum("ijk,k->ij", b.Q, Zp[t - 1] @ b.gamma)
-                m = Xp[r - 1] @ w @ Yp[s - 1]
-                assert abs(sq[f"sq:XYQ3Zg:r={r},s={s},t={t}"] - np.sum(m * m)) < 1e-9 * max(1, np.sum(m * m))
+    close = lambda got, want: abs(got - want) < 1e-9 * max(1, abs(want))
+    for _ in range(3):
+        b = random_bloch(rng)
+        for grams in (None, gram(random_bloch(rng).Q)):
+            sq = dict(squared_family(b, grams))
+            G = [powers(m) for m in (gram(b.Q) if grams is None else grams)]
+            vecs = (b.alpha, b.beta, b.gamma)
+            couple = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
+                      (1, 2): b.T, (2, 1): b.T.T}
+            # Q contracted with a vector on axis 0, 1, 2: rows and columns on the other two
+            slab = ("ijk,i->jk", "ijk,j->ik", "ijk,k->ij")
+            checked = 0
+            for r in (1, 2, 3):
+                for s in (1, 2, 3):
+                    for label, p, q, c in (("RYRX", 0, 1, b.R), ("SZSX", 0, 2, b.S),
+                                           ("TZTY", 1, 2, b.T)):
+                        direct = np.trace(c @ G[q][r - 1] @ c.T @ G[p][s - 1])
+                        assert close(sq[f"sq:{label}:r={r},s={s}"], direct), (label, r, s)
+                        checked += 1
+                    for label, q, o in (("XRYb", 0, 1), ("YRtXa", 1, 0), ("XSZg", 0, 2),
+                                        ("ZStXa", 2, 0), ("YTZg", 1, 2), ("ZTtYb", 2, 1)):
+                        v = G[q][r - 1] @ couple[q, o] @ G[o][s - 1] @ vecs[o]
+                        assert close(sq[f"sq:{label}:r={r},s={s}"], v @ v), (label, r, s)
+                        checked += 1
+                    for t in (1, 2, 3):
+                        direct = np.einsum("ia,jb,kc,abc,ijk->", G[0][r - 1], G[1][s - 1],
+                                           G[2][t - 1], b.Q, b.Q)
+                        assert close(sq[f"sq:QXQYZ:r={r},s={s},t={t}"], direct), (r, s, t)
+                        checked += 1
+                        for label, q, p1, p2 in (("YZQ1Xa", 0, 1, 2), ("XZQ2Yb", 1, 0, 2),
+                                                 ("XYQ3Zg", 2, 0, 1)):
+                            w = np.einsum(slab[q], b.Q, G[q][t - 1] @ vecs[q])
+                            m = G[p1][r - 1] @ w @ G[p2][s - 1]
+                            name = f"sq:{label}:r={r},s={s},t={t}"
+                            assert close(sq[name], np.sum(m * m)), name
+                            checked += 1
+            assert checked == len(sq) == 189
 
 
 def test_sign_family_matches_cofactor_oracle(rng):
