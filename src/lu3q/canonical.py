@@ -7,11 +7,17 @@ rotated alpha, beta, gamma, skipping components below zero_tol.  Orbit
 classes are read off the canonical vectors' zero patterns; spectra with a
 gap at or below deg_tol (relative to the largest Gram eigenvalue) have no
 well-defined canonical point and classify as degenerate.
+
+The sign flips keep every |component|, so the class is already fixed in the
+Gram eigen-frames.  equivalent classifies there and never builds the
+rotation or the canonical tensor; it computes one Gram triple per state,
+which serves both the classification and every invariant family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,18 +114,6 @@ class Verdict:
         return {"equivalent": 0, "inequivalent": 1}.get(self.verdict, 2)
 
 
-def _diagonalizing_rotation(g):
-    """Proper rotation L with L g L^T diagonal, eigenvalues non-increasing."""
-    w, v = np.linalg.eigh(g)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    if np.linalg.det(v) < 0:
-        v = v.copy()
-        v[:, 2] = -v[:, 2]
-    return w, v.T
-
-
 def _lex_sign(vec, mask):
     """Sign triple (det +1) maximizing vec[mask] lexicographically."""
     best = _SIGN_CHOICES[0]
@@ -132,10 +126,11 @@ def _lex_sign(vec, mask):
 
 
 def _classify(spectra, masks, deg_tol):
-    """Orbit class from the Gram spectra and the non-zero masks of alpha, beta, gamma."""
-    scale = max(float(s[0]) for s in spectra)
-    spectra_t = tuple(tuple(float(x) for x in s) for s in spectra)
-    for name, s in zip(_GRAM_NAMES, spectra):
+    """Orbit class from the Gram spectra (a 3x3 array, one spectrum a row) and
+    the non-zero masks of alpha, beta, gamma."""
+    spectra_t = tuple(map(tuple, spectra.tolist()))
+    scale = max(s[0] for s in spectra_t)
+    for name, s in zip(_GRAM_NAMES, spectra_t):
         for i in range(2):
             gap = s[i] - s[i + 1]
             if gap <= deg_tol * scale:
@@ -152,6 +147,30 @@ def _classify(spectra, masks, deg_tol):
     return OrbitClass("other", slots, "", spectra_t)
 
 
+class _Frame(NamedTuple):
+    """Where the Gram eigen-frames put a tensor: the proper rotations that
+    diagonalize its Grams (eigenvalues non-increasing), the rotated alpha,
+    beta, gamma, their non-zero masks and the orbit class read off them."""
+
+    rotations: tuple
+    vectors: tuple
+    masks: tuple
+    orbit_class: OrbitClass
+
+
+def _frame(b, grams, zero_tol, deg_tol):
+    """The eigen-frame of b, given its Gram triple; builds no rotated tensor."""
+    # one eigh on the stacked Grams gives the same bits as three separate calls
+    w, u = np.linalg.eigh(np.stack(grams))
+    u = u[:, :, [2, 1, 0]]
+    u[np.linalg.det(u) < 0, :, 2] *= -1.0
+    rotations = tuple(m.T for m in u)
+    vecs = tuple(g @ v for g, v in zip(rotations, (b.alpha, b.beta, b.gamma)))
+    # one structural-zero test; the sign flips of canonicalize keep every |component|
+    masks = tuple(np.abs(v) > zero_tol for v in vecs)
+    return _Frame(rotations, vecs, masks, _classify(w[:, ::-1], masks, deg_tol))
+
+
 def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     """Canonical form of a coefficient tensor.
 
@@ -159,28 +178,21 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     tensor == act(b, rotation), diagonal non-increasing Gram matrices and
     the residual signs fixed by the lexicographic rule.
     """
-    X, Y, Z = gram(b.Q)
-    wx, L = _diagonalizing_rotation(X)
-    wy, M = _diagonalizing_rotation(Y)
-    wz, N = _diagonalizing_rotation(Z)
-    vecs = (L @ b.alpha, M @ b.beta, N @ b.gamma)
-    # one structural-zero test; the sign flips below keep every |component|
-    masks = [np.abs(v) > zero_tol for v in vecs]
-    signs = [_lex_sign(v, m)[:, None] for v, m in zip(vecs, masks)]
-    rot = LocalRotation(*(d * g for d, g in zip(signs, (L, M, N))))
-    cls = _classify((wx, wy, wz), masks, deg_tol)
-    return CanonicalForm(act(b, rot), rot, cls)
+    fr = _frame(b, gram(b.Q), zero_tol, deg_tol)
+    signs = [_lex_sign(v, m)[:, None] for v, m in zip(fr.vectors, fr.masks)]
+    rot = LocalRotation(*(d * g for d, g in zip(signs, fr.rotations)))
+    return CanonicalForm(act(b, rot), rot, fr.orbit_class)
 
 
 def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
-    """Orbit class of a coefficient tensor (canonicalizes internally)."""
-    return canonicalize(b, zero_tol, deg_tol).orbit_class
+    """Orbit class of a coefficient tensor, read off its Gram eigen-frames."""
+    return _frame(b, gram(b.Q), zero_tol, deg_tol).orbit_class
 
 
-def _stages(rho, b, spectra, orbit_class):
+def _stages(rho, b, grams, spectra, orbit_class):
     """Entry lists that equivalent compares in turn: the generic family, the
     density and Gram spectra, then the other families of orbit_class."""
-    families = fingerprint_families(b, orbit_class)
+    families = fingerprint_families(b, orbit_class, grams)
     yield next(families)
     ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     entries = [(f"spec:rho[{i}]", float(x)) for i, x in enumerate(ev)]
@@ -204,11 +216,12 @@ def equivalent(rho1, rho2, tols=None):
     """
     tols = tols or Tolerances()
     bs = (decompose(rho1), decompose(rho2))
-    c1, c2 = (canonicalize(b, tols.zero_tol, tols.deg_tol).orbit_class for b in bs)
+    grams = [gram(b.Q) for b in bs]
+    c1, c2 = (_frame(b, g, tols.zero_tol, tols.deg_tol).orbit_class for b, g in zip(bs, grams))
     classes = (c1.tag, c2.tag)
     same = c1.matches(c2)
-    stages = [_stages(rho, b, c.spectra, c1 if same else None)
-              for rho, b, c in zip((rho1, rho2), bs, (c1, c2))]
+    stages = [_stages(rho, b, g, c.spectra, c1 if same else None)
+              for rho, b, g, c in zip((rho1, rho2), bs, grams, (c1, c2))]
     for e1, e2 in zip(*stages):
         diff = first_mismatch(Fingerprint(classes[0], e1), Fingerprint(classes[1], e2),
                               tols.tol_abs, tols.tol_rel)

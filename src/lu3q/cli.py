@@ -24,7 +24,7 @@ from . import serialize
 from .canonical import Tolerances, canonicalize, equivalent
 from .errors import FormatError, InconsistentInvariantsError, SingularSystemError, WrongClassError
 from .invariants import Fingerprint, all_invariants, first_mismatch, full_fingerprint
-from .pauli import decompose, reconstruct
+from .pauli import decompose, reconstruct, validate_density
 from .recover import recover_two_zero, solve_single_zero
 from .rotations import LocalRotation, act, conjugate, haar_su2
 from .states import example_state, min_eigenvalue
@@ -110,13 +110,22 @@ def _warn_positivity(rho):
               f"(smallest eigenvalue {low:.3e})", file=sys.stderr)
 
 
-def _load_state(path):
-    """Returns (tensor, density); density is reconstructed for Bloch inputs."""
+def _load_density(path):
+    """Returns (density, tensor).  A density input is checked as decompose
+    checks it but not decomposed (tensor None); a Bloch input's density is
+    reconstructed."""
     kind, val = serialize.load_input(path)
     if kind == "density":
         _warn_positivity(val)
-        return decompose(val), val
-    return val, reconstruct(val)
+        validate_density(val)
+        return val, None
+    return reconstruct(val), val
+
+
+def _load_state(path):
+    """Returns (tensor, density); density is reconstructed for Bloch inputs."""
+    rho, b = _load_density(path)
+    return (decompose(rho) if b is None else b), rho
 
 
 def _tolerances(args):
@@ -149,8 +158,9 @@ def _cmd_compare(args):
     tols = _tolerances(args)
     if args.input_a == args.input_b == "-":
         raise FormatError("stdin ('-') can be given for one input only")
-    _, rho1 = _load_state(args.input_a)
-    _, rho2 = _load_state(args.input_b)
+    # equivalent decomposes each density itself
+    rho1, _ = _load_density(args.input_a)
+    rho2, _ = _load_density(args.input_b)
     verdict = equivalent(rho1, rho2, tols)
     _write_out(serialize.dumps(verdict.to_dict()), args.out)
     return verdict.exit_code

@@ -20,7 +20,8 @@ Power indices r, s, t always run 1..3 and enter as G^{r-1}, so only the
 0th..2nd matrix powers appear (plus cubes inside the trace family).  A
 family computes each power grid as one array and names its entries through
 grid_names, first power outermost (r, then s, then t); recover reads the
-grids it solves back through the same helper.
+grids it solves back through the same helper.  A family's names depend on
+nothing but the family, so they are built on its first evaluation only.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ _VEC_NAMES = ("a", "b", "g")
 _GRAM_NAMES = "XYZ"
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # _PAIRS[2 - q] holds the qubits other than q
 _R3 = (1, 2, 3)
-_GRID2 = tuple(itertools.product(_R3, repeat=2))
 _SIGN_PATHS = ((1, 2), (0, 2), (0, 1, 2), (1, 0, 2))
 # R, S, T for the couplings of qubits (0,1), (0,2), (1,2); "t" marks the transpose
 _COUPLING = {(p, q): "RST"[p + q - 1] + ("t" if p > q else "")
@@ -151,30 +151,53 @@ def grid_names(name, ndim):
     return [name(*powers) for powers in itertools.product(_R3, repeat=ndim)]
 
 
-def _block(name, grid):
-    """(name, value) entries of a power grid, named through grid_names."""
-    return list(zip(grid_names(name, grid.ndim), grid.ravel().tolist()))
+# Each family's names, by (family, arguments): they depend on nothing else, so
+# _evaluate builds them once, on the family's first evaluation.
+_NAMES = {}
+
+
+def _evaluate(family, ctx, *args):
+    """(name, value) entries of family(ctx, *args), a generator of (namer, grid) blocks.
+
+    A grid is an array of values, or one value, whose entries are named through
+    grid_names(namer, grid.ndim).  A block is named as it is yielded, because
+    a namer may close over the family's loop variables.
+    """
+    key = family, args
+    names = _NAMES.get(key)
+    fresh, values = [], []
+    for namer, grid in family(ctx, *args):
+        if names is None:
+            fresh += grid_names(namer, np.ndim(grid))
+        values += np.ravel(grid).tolist()
+    if names is None:
+        names = _NAMES[key] = tuple(fresh)
+    return list(zip(names, values))
+
+
+def _grid2(entry):
+    """The 3x3 grid of entry(r, s), one call per entry: each entry keeps its own
+    contraction, where one batched einsum could sum in another order."""
+    return np.array([[entry(r, s) for s in _R3] for r in _R3])
 
 
 def _axes(*qubits):
     return "".join("ijk"[q] for q in qubits)
 
 
-def _generic_entries(ctx):
+def _generic_blocks(ctx):
     b = ctx.b
-    out = []
     for n, g, g2 in zip(_GRAM_NAMES, ctx.G, (p[2] for p in ctx.P)):
         traces = np.array([np.trace(g), np.trace(g2), np.einsum("ij,ji->", g2, g)])
-        out += _block(lambda r: f"tr{n}^{r}", traces)
+        yield (lambda r: f"tr{n}^{r}"), traces
     for vn, gn, cols, v in zip(_VEC_NAMES, _GRAM_NAMES, ctx.V, (b.alpha, b.beta, b.gamma)):
-        out += _block(lambda r: f"{vn}{gn}{vn}:r={r}", v @ cols)
-    out += [(f"tri:{vn}", _chain(ctx, (q,), 3)) for q, vn in enumerate(_VEC_NAMES)]
+        yield (lambda r: f"{vn}{gn}{vn}:r={r}"), v @ cols
+    for q, vn in enumerate(_VEC_NAMES):
+        yield (lambda: f"tri:{vn}"), _chain(ctx, (q,), 3)
     for p, q in _PAIRS:
         label = f"{_VEC_NAMES[p]}{_COUPLING[p, q]}{_VEC_NAMES[q]}"
-        out += _block(lambda r, s: f"{label}:r={r},s={s}", ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q])
-    tri = np.einsum("ir,js,kt,ijk->rst", *ctx.V, b.Q)
-    out += _block(lambda r, s, t: f"Q:r={r},s={s},t={t}", tri)
-    return out
+        yield (lambda r, s: f"{label}:r={r},s={s}"), ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q]
+    yield (lambda r, s, t: f"Q:r={r},s={s},t={t}"), np.einsum("ir,js,kt,ijk->rst", *ctx.V, b.Q)
 
 
 def _chain(ctx, path, r):
@@ -192,50 +215,54 @@ def _chain(ctx, path, r):
     return ctx.chains[key]
 
 
-def _extras_entries(ctx, q):
+def _extras_blocks(ctx, q):
     """The 15 extra invariants for a vanishing component of vector q."""
     o1, o2 = _PAIRS[2 - q]
-    out = [(extra_name(q, o, r), _chain(ctx, (q, o), r)) for o in (o1, o2) for r in _R3]
+    for o in (o1, o2):
+        yield functools.partial(extra_name, q, o), np.array([_chain(ctx, (q, o), r) for r in _R3])
     contract = f"ijk,{_axes(o1)},{_axes(o2)}->{_axes(q)}"
-    for r, s in _GRID2:
+
+    def q_entry(r, s):
         w = np.einsum(contract, ctx.b.Q, ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1])
-        out.append((extra_q_name(q, r, s), float(ctx.cof[q] @ w)))
-    return out
+        return float(ctx.cof[q] @ w)
+
+    yield functools.partial(extra_q_name, q), _grid2(q_entry)
 
 
-def _squared_entries(ctx):
+def _squared_blocks(ctx):
     b, C, V = ctx.b, ctx.C, ctx.V
     P = [np.stack(powers) for powers in ctx.P]   # P[q][r-1] = G_q^{r-1}
-    out = []
     for p, q in _PAIRS:
-        grid = np.einsum("ij,rjk,lk,sli->rs", C[p, q], P[q], C[p, q], P[p])
-        out += _block(lambda r, s: coupling_square_name(p, q, s, r), grid)
+        yield ((lambda r, s: coupling_square_name(p, q, s, r)),
+               np.einsum("ij,rjk,lk,sli->rs", C[p, q], P[q], C[p, q], P[p]))
     # one five-operand einsum: the two-zero-same Q-square solve amplifies a new summation order
-    out += _block(q_square_name, np.einsum("ria,abc,sbe,tcf,ief->rst", P[0], b.Q, P[1], P[2], b.Q))
+    yield q_square_name, np.einsum("ria,abc,sbe,tcf,ief->rst", P[0], b.Q, P[1], P[2], b.Q)
     for pair in _PAIRS:
         for q, o in (pair, pair[::-1]):
             w = P[q] @ (C[q, o] @ V[o])   # [r, :, s] = G_q^{r-1} C_qo G_o^{s-1} v_o
-            out += _block(functools.partial(vector_square_name, q, o),
-                          np.einsum("ris,ris->rs", w, w))
+            yield functools.partial(vector_square_name, q, o), np.einsum("ris,ris->rs", w, w)
     for q in range(3):
         o1, o2 = _PAIRS[2 - q]
         w = np.einsum(f"ijk,{_axes(q)}t->t{_axes(o1, o2)}", b.Q, V[q])   # [t] = Q . G_q^{t-1} v_q
         m = P[o1][:, None, None] @ w @ P[o2][None, :, None]   # [r, s, t] = G^{r-1} w_t G^{s-1}
-        out += _block(lambda r, s, t: slab_square_name(q, t, o1, r, o2, s),
-                      np.einsum("rstxy,rstxy->rst", m, m))
-    return out
+        yield ((lambda r, s, t: slab_square_name(q, t, o1, r, o2, s)),
+               np.einsum("rstxy,rstxy->rst", m, m))
 
 
-def _sign_entries(ctx):
+def _sign_blocks(ctx):
     b, P = ctx.b, ctx.P
-    out = [(sign_name(path, r), _chain(ctx, path, r)) for path in _SIGN_PATHS for r in _R3]
+    for path in _SIGN_PATHS:
+        yield functools.partial(sign_name, path), np.array([_chain(ctx, path, r) for r in _R3])
     for q in (0, 1):
         o = 1 - q
         contract = f"ijk,{_axes(o, 2)}->{_axes(q)}"
-        for r, s in _GRID2:
-            w = np.einsum(contract, b.Q, P[o][r - 1] @ ctx.C[o, 2] @ P[2][s - 1])
-            out.append((sign_q_name(q, r, s), float(ctx.cof[q] @ w)))
-    return out
+        left = [p @ ctx.C[o, 2] for p in P[o]]   # [r-1] = G_o^{r-1} C_o2, shared by every s
+
+        def q_entry(r, s):
+            w = np.einsum(contract, b.Q, left[r - 1] @ P[2][s - 1])
+            return float(ctx.cof[q] @ w)
+
+        yield functools.partial(sign_q_name, q), _grid2(q_entry)
 
 
 @dataclass
@@ -276,38 +303,39 @@ def single_zero_extras(b, vector, grams=None):
     """The 15 extra invariants for a zero component of vector "a", "b" or "g"."""
     if vector not in _VEC_NAMES:
         raise ValueError(f'vector must be one of "a", "b", "g", got {vector!r}')
-    return _extras_entries(_Ctx(b, grams), _VEC_NAMES.index(vector))
+    return _evaluate(_extras_blocks, _Ctx(b, grams), _VEC_NAMES.index(vector))
 
 
 def squared_family(b, grams=None):
     """The 189 squared invariants (traces and norms quadratic in R, S, T, Q)."""
-    return _squared_entries(_Ctx(b, grams))
+    return _evaluate(_squared_blocks, _Ctx(b, grams))
 
 
 def sign_resolution(b, grams=None):
     """The 30 sign-resolution invariants for zeros in alpha and beta."""
-    return _sign_entries(_Ctx(b, grams))
+    return _evaluate(_sign_blocks, _Ctx(b, grams))
 
 
-def fingerprint_families(b, orbit_class=None):
+def fingerprint_families(b, orbit_class=None, grams=None):
     """Entry lists of the families in a class's fingerprint, in fingerprint order.
 
     One context serves every family, and each family is evaluated only when
     it is reached.  generic -> the 75 generic invariants; single-zero -> those
     and the 15 extras of the zero vector; any other class, or None -> all 339
     (generic, the extras of a, b and g, squared, sign; every entry is a
-    genuine invariant on any tensor).
+    genuine invariant on any tensor).  grams, when given, must be gram(b.Q):
+    a caller that already holds them saves recomputing them.
     """
-    ctx = _Ctx(b)
-    yield _generic_entries(ctx)
+    ctx = _Ctx(b, grams)
+    yield _evaluate(_generic_blocks, ctx)
     kind = getattr(orbit_class, "kind", None)
     if kind == "single-zero":
-        yield _extras_entries(ctx, _VEC_NAMES.index(orbit_class.slots[0][0]))
+        yield _evaluate(_extras_blocks, ctx, _VEC_NAMES.index(orbit_class.slots[0][0]))
     elif kind != "generic":
         for q in range(3):
-            yield _extras_entries(ctx, q)
-        yield _squared_entries(ctx)
-        yield _sign_entries(ctx)
+            yield _evaluate(_extras_blocks, ctx, q)
+        yield _evaluate(_squared_blocks, ctx)
+        yield _evaluate(_sign_blocks, ctx)
 
 
 def all_invariants(b):
@@ -324,15 +352,19 @@ def full_fingerprint(b, orbit_class):
 def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     """First entry where two fingerprints disagree, or None.
 
-    Entries compare positionally with |a - b| <= tol_abs + tol_rel*max(|a|,|b|).
+    Entries compare positionally with |a - b| <= tol_abs + tol_rel*max(|a|,|b|),
+    all in one array comparison.  Returns (name, value 1, value 2).
     Raises ValueError if the name sequences differ (incomparable classes).
     """
-    if fp1.names() != fp2.names():
+    names = fp1.names()
+    if names != fp2.names():
         raise ValueError("fingerprints enumerate different invariants and cannot be compared")
-    for (name, v1), (_, v2) in zip(fp1.entries, fp2.entries):
-        if abs(v1 - v2) > tol_abs + tol_rel * max(abs(v1), abs(v2)):
-            return name, v1, v2
-    return None
+    a, b = fp1.values(), fp2.values()
+    failed = np.abs(a - b) > tol_abs + tol_rel * np.maximum(np.abs(a), np.abs(b))
+    if not failed.any():
+        return None
+    i = int(failed.argmax())
+    return names[i], fp1.entries[i][1], fp2.entries[i][1]
 
 
 def q_trilinear(b, r, s, t):

@@ -55,7 +55,12 @@ def gram(Q):
 
     All three are symmetric positive semidefinite and share their trace.
     """
-    flats = [flatten(Q, axis) for axis in (1, 2, 3)]
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (3, 3, 3):
+        raise ValueError(f"Q must be 3x3x3, got {Q.shape}")
+    # the three flattenings, as flatten lays them out
+    flats = (Q.reshape(3, 9), Q.transpose(1, 0, 2).reshape(3, 9),
+             Q.transpose(2, 0, 1).reshape(3, 9))
     return GramTriple(*(m @ m.T for m in flats))
 
 

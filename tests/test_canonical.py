@@ -1,5 +1,7 @@
 """Canonical form, orbit classification and the equivalence decision."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,30 @@ def test_classify_degenerate_states():
     assert classify(decompose(np.eye(8, dtype=complex) / 8)).kind == "degenerate"
 
 
+def test_frame_class_is_canonical_class(rng):
+    """classify, which equivalent shares, reads the class off the Gram
+    eigen-frames without the canonical tensor; it must give canonicalize's class
+    bit for bit, with the spectra of three separate eigendecompositions."""
+    slots = [(v, i) for v in "abg" for i in range(3)]
+    patterns = [[s] for s in slots] + [list(p) for p in itertools.combinations(slots, 2)]
+    i8 = np.eye(8, dtype=complex) / 8
+    i8_rotated = conjugate(i8, haar_su2(rng), haar_su2(rng), haar_su2(rng))
+    tensors = ([zeroed_tensor(rng, p) for p in patterns]
+               + [physical_bloch(rng) for _ in range(10)]
+               + [decompose(rho) for rho in (ghz_state(), w_state(), i8, i8_rotated)])
+    kinds = set()
+    for b in tensors:
+        got, want = classify(b), canonicalize(b).orbit_class
+        assert (got.tag, got.reason) == (want.tag, want.reason)
+        assert np.array(got.spectra).tobytes() == np.array(want.spectra).tobytes()
+        separate = [np.linalg.eigh(g)[0][::-1] for g in gram(b.Q)]
+        assert np.array(got.spectra).tobytes() == np.array(separate).tobytes()
+        kinds.add(got.kind)
+    # the rotated I/8 is classified by rounding noise, as "other" here
+    assert kinds == {"single-zero", "two-zero-diff", "two-zero-same", "generic", "degenerate",
+                     "other"}
+
+
 def test_degenerate_classes_match_by_kind(rng):
     c1 = classify(decompose(ghz_state()))
     c2 = classify(decompose(np.eye(8, dtype=complex) / 8))
@@ -130,20 +156,26 @@ def test_two_zero_with_sign_information_is_equivalent(rng):
 
 @pytest.mark.parametrize("case", ["two-zero", "identity"])
 def test_equivalent_builds_one_invariant_context_per_state(case, rng, monkeypatch):
-    """Every family is evaluated from one context per state, whichever path runs."""
+    """One Gram triple per state serves the class and every family, whichever
+    path runs, and equivalent never builds a rotated tensor."""
+    import lu3q.canonical
     import lu3q.invariants
 
-    calls = []
-    real_gram = lu3q.invariants.gram
-    monkeypatch.setattr(lu3q.invariants, "gram", lambda q: calls.append(q) or real_gram(q))
     if case == "two-zero":
         rho = reconstruct(zeroed_tensor(rng, [("a", 0), ("b", 1)]))
     else:
         rho = np.eye(8, dtype=complex) / 8
-    v = equivalent(rho, conjugate(rho, haar_su2(rng), haar_su2(rng), haar_su2(rng)))
+    rho2 = conjugate(rho, haar_su2(rng), haar_su2(rng), haar_su2(rng))
+    grams, acts = [], []
+    real_gram, real_act = lu3q.canonical.gram, lu3q.canonical.act
+    for module in (lu3q.canonical, lu3q.invariants):
+        monkeypatch.setattr(module, "gram", lambda q: grams.append(q) or real_gram(q))
+    monkeypatch.setattr(lu3q.canonical, "act", lambda b, g: acts.append(g) or real_act(b, g))
+    v = equivalent(rho, rho2)
     # the rotated copy of I/8 classifies by rounding noise and takes the all-invariant path
     assert v.verdict == ("equivalent" if case == "two-zero" else "inconclusive")
-    assert len(calls) == 2
+    assert len(grams) == 2
+    assert acts == []
 
 
 def test_degenerate_agreement_is_inconclusive():

@@ -254,3 +254,57 @@ def test_first_mismatch_finds_perturbed_entry(rng):
     fp3 = Fingerprint("generic", [("other", 0.0)])
     with pytest.raises(ValueError):
         first_mismatch(fp1, fp3)
+
+
+def reference_first_mismatch(fp1, fp2, tol_abs, tol_rel):
+    """The entry-by-entry loop that first_mismatch replaces."""
+    if fp1.names() != fp2.names():
+        raise ValueError("different names")
+    for (name, v1), (_, v2) in zip(fp1.entries, fp2.entries):
+        if abs(v1 - v2) > tol_abs + tol_rel * max(abs(v1), abs(v2)):
+            return name, v1, v2
+    return None
+
+
+def perturbed(fp, changes):
+    entries = list(fp.entries)
+    for i, delta in changes.items():
+        entries[i] = (entries[i][0], entries[i][1] + delta)
+    return Fingerprint(fp.orbit_class, entries)
+
+
+def test_first_mismatch_matches_reference_loop(rng):
+    fp = Fingerprint("all", all_invariants(physical_bloch(rng)))
+    tols = (1e-9, 1e-8)
+    cases = [{}, {17: 1e-3}, {250: 1e-6}, {40: 1e-5, 41: 1e-2, 300: 1.0}]
+    for _ in range(100):   # one to five changes, at a scale below, near or above the tolerance
+        idx = rng.choice(len(fp), size=rng.integers(1, 6), replace=False)
+        scale = rng.choice([1e-12, 1e-7, 1.0])
+        cases.append({int(i): float(scale * rng.normal()) for i in idx})
+    found = []
+    for changes in cases:
+        other = perturbed(fp, changes)
+        got = first_mismatch(fp, other, *tols)
+        assert got == reference_first_mismatch(fp, other, *tols)
+        found.append(got is not None)
+    assert 20 < sum(found) < len(found) - 20
+    # several failing entries: the first wins, not the largest
+    name, v1, v2 = first_mismatch(fp, perturbed(fp, {40: 1e-5, 41: 1e-2, 300: 1.0}), *tols)
+    assert name == fp.entries[40][0] and (v1, v2) == (fp.entries[40][1], fp.entries[40][1] + 1e-5)
+
+
+def test_first_mismatch_boundary_and_names():
+    # dyadic values: |a - b| equals tol_abs + tol_rel * max(|a|, |b|) exactly, which passes
+    at = Fingerprint("x", [("p", 1.0), ("q", -3.0)])
+    for other, want in (([("p", 2.0), ("q", -3.0)], None),
+                        ([("p", 2.0), ("q", -3.0 - 2.0 ** -40)], None),
+                        ([("p", 2.0 + 2.0 ** -51), ("q", -3.0)], ("p", 1.0, 2.0 + 2.0 ** -51)),
+                        ([("p", 1.0), ("q", -5.5)], ("q", -3.0, -5.5))):
+        fp = Fingerprint("x", other)
+        assert first_mismatch(at, fp, 0.5, 0.25) == want
+        assert reference_first_mismatch(at, fp, 0.5, 0.25) == want
+    empty = Fingerprint("x", [])
+    assert first_mismatch(empty, empty) is None
+    for names in (["p", "r"], ["q", "p"], ["p"], ["p", "q", "r"]):
+        with pytest.raises(ValueError):
+            first_mismatch(at, Fingerprint("x", [(n, 1.0) for n in names]))

@@ -43,13 +43,17 @@ def test_flatten_rejects_bad_axis(rng):
 
 
 def test_gram_matrices_match_flattenings(rng):
-    q = rng.normal(size=(3, 3, 3))
-    g = gram(q)
-    for mat, axis in ((g.X, 1), (g.Y, 2), (g.Z, 3)):
-        f = flatten(q, axis)
-        assert np.max(np.abs(mat - f @ f.T)) < 1e-13
-    assert abs(np.trace(g.X) - np.trace(g.Y)) < 1e-12
-    assert abs(np.trace(g.X) - np.trace(g.Z)) < 1e-12
+    """gram is bit for bit the product of each flattening with its transpose."""
+    for _ in range(200):
+        q = rng.normal(size=(3, 3, 3))
+        g = gram(q)
+        for mat, axis in ((g.X, 1), (g.Y, 2), (g.Z, 3)):
+            f = flatten(q, axis)
+            assert np.array_equal(mat, f @ f.T)
+        assert abs(np.trace(g.X) - np.trace(g.Y)) < 1e-12
+        assert abs(np.trace(g.X) - np.trace(g.Z)) < 1e-12
+    with pytest.raises(ValueError):
+        gram(np.zeros((3, 9)))
 
 
 def test_flattening_covariance_under_rotations(rng):
