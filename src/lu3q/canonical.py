@@ -189,16 +189,18 @@ def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     return _frame(b, gram(b.Q), zero_tol, deg_tol).orbit_class
 
 
+# the spectrum stage: the 8 density eigenvalues, then each Gram spectrum
+_SPECTRUM_NAMES = (tuple(f"spec:rho[{i}]" for i in range(8))
+                   + tuple(f"spec:{name}[{i}]" for name in _GRAM_NAMES for i in range(3)))
+
+
 def _stages(rho, b, grams, spectra, orbit_class):
-    """Entry lists that equivalent compares in turn: the generic family, the
+    """Fingerprints that equivalent compares in turn: the generic family, the
     density and Gram spectra, then the other families of orbit_class."""
     families = fingerprint_families(b, orbit_class, grams)
     yield next(families)
     ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    entries = [(f"spec:rho[{i}]", float(x)) for i, x in enumerate(ev)]
-    for name, s in zip(_GRAM_NAMES, spectra):
-        entries += [(f"spec:{name}[{i}]", x) for i, x in enumerate(s)]
-    yield entries
+    yield Fingerprint("spectra", _SPECTRUM_NAMES, np.concatenate((ev, np.ravel(spectra))))
     yield from families
 
 
@@ -212,7 +214,8 @@ def equivalent(rho1, rho2, tols=None):
     mismatched classes with no differing invariant).  The generic family is
     compared first, then the spectra, then the rest of the class
     fingerprint, or of all 339 invariants when the classes differ.
-    Symmetric in its arguments.
+    Symmetric in its arguments.  Raises ValueError when an entry is NaN or
+    infinite before any entry differs (see first_mismatch).
     """
     tols = tols or Tolerances()
     bs = (decompose(rho1), decompose(rho2))
@@ -222,9 +225,8 @@ def equivalent(rho1, rho2, tols=None):
     same = c1.matches(c2)
     stages = [_stages(rho, b, g, c.spectra, c1 if same else None)
               for rho, b, g, c in zip((rho1, rho2), bs, grams, (c1, c2))]
-    for e1, e2 in zip(*stages):
-        diff = first_mismatch(Fingerprint(classes[0], e1), Fingerprint(classes[1], e2),
-                              tols.tol_abs, tols.tol_rel)
+    for s1, s2 in zip(*stages):
+        diff = first_mismatch(s1, s2, tols.tol_abs, tols.tol_rel)
         if diff is not None:
             name, v1, v2 = diff
             return Verdict("inequivalent", name, classes, f"{name}: {v1:.12g} vs {v2:.12g}")
@@ -238,7 +240,7 @@ def equivalent(rho1, rho2, tols=None):
         return Verdict("equivalent", None, classes)
     if kind in ("two-zero-diff", "two-zero-same"):
         # the last stage of a two-zero class is its sign-resolution family
-        if max(abs(v) for _, v in e1 + e2) <= tols.tol_abs:
+        if np.abs(np.concatenate((s1.values, s2.values))).max() <= tols.tol_abs:
             return Verdict("equivalent-up-to-sign", None, classes,
                            "all sign-resolution invariants vanish; residual signs undetermined")
         return Verdict("equivalent", None, classes)

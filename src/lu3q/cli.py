@@ -23,7 +23,7 @@ import numpy as np
 from . import serialize
 from .canonical import Tolerances, canonicalize, equivalent
 from .errors import FormatError, InconsistentInvariantsError, SingularSystemError, WrongClassError
-from .invariants import Fingerprint, all_invariants, first_mismatch, full_fingerprint
+from .invariants import all_invariants, first_mismatch, full_fingerprint
 from .pauli import decompose, reconstruct, validate_density
 from .recover import recover_two_zero, solve_single_zero
 from .rotations import LocalRotation, act, conjugate, haar_su2
@@ -110,22 +110,15 @@ def _warn_positivity(rho):
               f"(smallest eigenvalue {low:.3e})", file=sys.stderr)
 
 
-def _load_density(path):
-    """Returns (density, tensor).  A density input is checked as decompose
-    checks it but not decomposed (tensor None); a Bloch input's density is
-    reconstructed."""
-    kind, val = serialize.load_input(path)
-    if kind == "density":
-        _warn_positivity(val)
-        validate_density(val)
-        return val, None
-    return reconstruct(val), val
-
-
 def _load_state(path):
-    """Returns (tensor, density); density is reconstructed for Bloch inputs."""
-    rho, b = _load_density(path)
-    return (decompose(rho) if b is None else b), rho
+    """Returns (density, tensor) as given: the one the input does not hold is
+    None.  A density input is checked as decompose checks it but not decomposed."""
+    kind, val = serialize.load_input(path)
+    if kind == "bloch":
+        return None, val
+    _warn_positivity(val)
+    validate_density(val)
+    return val, None
 
 
 def _tolerances(args):
@@ -145,11 +138,17 @@ def _cmd_decompose(args):
     return 0
 
 
-def _cmd_fingerprint(args):
+def _canonical_fingerprint(args):
+    """The canonical form of the input state and its class fingerprint."""
     tols = _tolerances(args)
-    b, _ = _load_state(args.input)
-    cf = canonicalize(b, zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
-    fp = full_fingerprint(cf.tensor, cf.orbit_class)
+    rho, b = _load_state(args.input)
+    cf = canonicalize(decompose(rho) if b is None else b,
+                      zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
+    return cf, full_fingerprint(cf.tensor, cf.orbit_class)
+
+
+def _cmd_fingerprint(args):
+    _, fp = _canonical_fingerprint(args)
     _write_out(serialize.dumps(fp.to_dict()), args.out)
     return 0
 
@@ -159,9 +158,9 @@ def _cmd_compare(args):
     if args.input_a == args.input_b == "-":
         raise FormatError("stdin ('-') can be given for one input only")
     # equivalent decomposes each density itself
-    rho1, _ = _load_density(args.input_a)
-    rho2, _ = _load_density(args.input_b)
-    verdict = equivalent(rho1, rho2, tols)
+    rhos = [reconstruct(b) if rho is None else rho
+            for rho, b in map(_load_state, (args.input_a, args.input_b))]
+    verdict = equivalent(*rhos, tols)
     _write_out(serialize.dumps(verdict.to_dict()), args.out)
     return verdict.exit_code
 
@@ -172,9 +171,10 @@ def _cmd_orbit_test(args):
         raise FormatError("--trials must be at least 1")
     if args.seed < 0:
         raise FormatError("--seed must be non-negative")
-    b, rho = _load_state(args.input)
+    rho, b = _load_state(args.input)
+    rho, b = (reconstruct(b), b) if rho is None else (rho, decompose(rho))
     rng = np.random.default_rng(args.seed)
-    base = Fingerprint("all", all_invariants(b))
+    base = all_invariants(b)
 
     max_dev = 0.0
     max_mismatch = 0.0
@@ -182,8 +182,8 @@ def _cmd_orbit_test(args):
     for _ in range(args.trials):
         u1, u2, u3 = haar_su2(rng), haar_su2(rng), haar_su2(rng)
         b_rot = act(b, LocalRotation.from_su2(u1, u2, u3))
-        fp = Fingerprint("all", all_invariants(b_rot))
-        max_dev = max(max_dev, float(np.abs(fp.values() - base.values()).max()))
+        fp = all_invariants(b_rot)
+        max_dev = max(max_dev, float(np.abs(fp.values - base.values).max()))
         if first_mismatch(base, fp, tols.tol_abs, tols.tol_rel) is not None:
             ok = False
         b_oracle = decompose(conjugate(rho, u1, u2, u3))
@@ -202,10 +202,7 @@ def _cmd_orbit_test(args):
 
 
 def _cmd_reconstruct(args):
-    tols = _tolerances(args)
-    b, _ = _load_state(args.input)
-    cf = canonicalize(b, zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
-    fp = full_fingerprint(cf.tensor, cf.orbit_class)
+    cf, fp = _canonical_fingerprint(args)
     kind = cf.orbit_class.kind
     if kind == "single-zero":
         rec = solve_single_zero(fp, cf)

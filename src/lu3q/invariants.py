@@ -1,7 +1,7 @@
 """Polynomial local-unitary invariants of the coefficient tensor.
 
-Four families are emitted, each as named (name, value) entries with a fixed
-enumeration order so fingerprints compare positionally:
+Four families are emitted, each as a Fingerprint of names and values with a
+fixed enumeration order so fingerprints compare positionally:
 
   generic (75):    traces tr G^r of the Gram matrices, vector quadratics
                    v.G^{r-1}v, the triple products (v, Gv, G^2 v), the
@@ -151,28 +151,27 @@ def grid_names(name, ndim):
     return [name(*powers) for powers in itertools.product(_R3, repeat=ndim)]
 
 
-# Each family's names, by (family, arguments): they depend on nothing else, so
-# _evaluate builds them once, on the family's first evaluation.
+# Each family's names, by tag: they depend on nothing else, so _evaluate
+# builds them once, on the family's first evaluation.
 _NAMES = {}
 
 
-def _evaluate(family, ctx, *args):
-    """(name, value) entries of family(ctx, *args), a generator of (namer, grid) blocks.
+def _evaluate(tag, family, ctx, *args):
+    """Fingerprint tagged tag of family(ctx, *args), a generator of (namer, grid) blocks.
 
     A grid is an array of values, or one value, whose entries are named through
     grid_names(namer, grid.ndim).  A block is named as it is yielded, because
     a namer may close over the family's loop variables.
     """
-    key = family, args
-    names = _NAMES.get(key)
+    names = _NAMES.get(tag)
     fresh, values = [], []
     for namer, grid in family(ctx, *args):
         if names is None:
             fresh += grid_names(namer, np.ndim(grid))
-        values += np.ravel(grid).tolist()
+        values.append(np.ravel(grid))
     if names is None:
-        names = _NAMES[key] = tuple(fresh)
-    return list(zip(names, values))
+        names = _NAMES[tag] = tuple(fresh)
+    return Fingerprint(tag, names, np.concatenate(values))
 
 
 def _grid2(entry):
@@ -265,59 +264,81 @@ def _sign_blocks(ctx):
         yield functools.partial(sign_q_name, q), _grid2(q_entry)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Fingerprint:
-    """Named invariant values for one orbit class, fixed enumeration order."""
+    """Invariant values for one orbit class: values[i] is named names[i], fixed order."""
 
     orbit_class: str
-    entries: list = field(default_factory=list)
+    names: tuple = ()
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def names(self):
-        return [name for name, _ in self.entries]
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    def values(self):
-        return np.array([val for _, val in self.entries])
+    @functools.cached_property
+    def _index(self):
+        return {name: i for i, name in enumerate(self.names)}
+
+    @property
+    def entries(self):
+        """(name, value) pairs, in order."""
+        return list(zip(self.names, self.values.tolist()))
 
     def get(self, name):
-        return dict(self.entries)[name]
+        return float(self.values[self._index[name]])
+
+    def take(self, names):
+        """Array of the values of names, in the given order; KeyError for a missing name."""
+        return self.values[[self._index[name] for name in names]]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.names)
 
     def to_dict(self):
-        return {"class": self.orbit_class,
-                "entries": [[name, val] for name, val in self.entries]}
+        return {"class": self.orbit_class, "entries": self.entries}
 
     @classmethod
     def from_dict(cls, data):
-        entries = [(str(name), float(val)) for name, val in data["entries"]]
-        return cls(orbit_class=str(data["class"]), entries=entries)
+        entries = data["entries"]
+        return cls(str(data["class"]), tuple(str(name) for name, _ in entries),
+                   np.array([float(val) for _, val in entries]))
+
+
+def _extras(ctx, q):
+    return _evaluate("extras:" + _VEC_NAMES[q], _extras_blocks, ctx, q)
+
+
+def _join(tag, parts):
+    """One Fingerprint tagged tag of the given Fingerprints, in order."""
+    parts = list(parts)
+    return Fingerprint(tag, sum((p.names for p in parts), ()),
+                       np.concatenate([p.values for p in parts]))
 
 
 def generic_fingerprint(b):
     """The 75 generic invariants, as a Fingerprint tagged "generic"."""
-    return Fingerprint("generic", next(fingerprint_families(b)))
+    return next(fingerprint_families(b))
 
 
 def single_zero_extras(b, vector, grams=None):
     """The 15 extra invariants for a zero component of vector "a", "b" or "g"."""
     if vector not in _VEC_NAMES:
         raise ValueError(f'vector must be one of "a", "b", "g", got {vector!r}')
-    return _evaluate(_extras_blocks, _Ctx(b, grams), _VEC_NAMES.index(vector))
+    return _extras(_Ctx(b, grams), _VEC_NAMES.index(vector))
 
 
 def squared_family(b, grams=None):
     """The 189 squared invariants (traces and norms quadratic in R, S, T, Q)."""
-    return _evaluate(_squared_blocks, _Ctx(b, grams))
+    return _evaluate("squared", _squared_blocks, _Ctx(b, grams))
 
 
 def sign_resolution(b, grams=None):
     """The 30 sign-resolution invariants for zeros in alpha and beta."""
-    return _evaluate(_sign_blocks, _Ctx(b, grams))
+    return _evaluate("sign", _sign_blocks, _Ctx(b, grams))
 
 
 def fingerprint_families(b, orbit_class=None, grams=None):
-    """Entry lists of the families in a class's fingerprint, in fingerprint order.
+    """Fingerprints of the families in a class's fingerprint, in fingerprint order.
 
     One context serves every family, and each family is evaluated only when
     it is reached.  generic -> the 75 generic invariants; single-zero -> those
@@ -327,26 +348,25 @@ def fingerprint_families(b, orbit_class=None, grams=None):
     a caller that already holds them saves recomputing them.
     """
     ctx = _Ctx(b, grams)
-    yield _evaluate(_generic_blocks, ctx)
+    yield _evaluate("generic", _generic_blocks, ctx)
     kind = getattr(orbit_class, "kind", None)
     if kind == "single-zero":
-        yield _evaluate(_extras_blocks, ctx, _VEC_NAMES.index(orbit_class.slots[0][0]))
+        yield _extras(ctx, _VEC_NAMES.index(orbit_class.slots[0][0]))
     elif kind != "generic":
         for q in range(3):
-            yield _evaluate(_extras_blocks, ctx, q)
-        yield _evaluate(_squared_blocks, ctx)
-        yield _evaluate(_sign_blocks, ctx)
+            yield _extras(ctx, q)
+        yield _evaluate("squared", _squared_blocks, ctx)
+        yield _evaluate("sign", _sign_blocks, ctx)
 
 
 def all_invariants(b):
-    """Every invariant the package defines: 75 + 3*15 + 189 + 30 = 339 entries."""
-    return list(itertools.chain.from_iterable(fingerprint_families(b)))
+    """Every invariant the package defines, tagged "all": 75 + 3*15 + 189 + 30 = 339 entries."""
+    return _join("all", fingerprint_families(b))
 
 
 def full_fingerprint(b, orbit_class):
     """Class-dependent fingerprint: the families fingerprint_families lists for the class."""
-    return Fingerprint(orbit_class.tag, list(itertools.chain.from_iterable(
-        fingerprint_families(b, orbit_class))))
+    return _join(orbit_class.tag, fingerprint_families(b, orbit_class))
 
 
 def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
@@ -354,17 +374,24 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
 
     Entries compare positionally with |a - b| <= tol_abs + tol_rel*max(|a|,|b|),
     all in one array comparison.  Returns (name, value 1, value 2).
-    Raises ValueError if the name sequences differ (incomparable classes).
+    Raises ValueError if the name sequences differ (incomparable classes), or
+    if an entry that is NaN or infinite on either side comes before any
+    finite entry that fails: such an entry neither passes nor is a witness.
     """
-    names = fp1.names()
-    if names != fp2.names():
+    names = fp1.names
+    if names != fp2.names:
         raise ValueError("fingerprints enumerate different invariants and cannot be compared")
-    a, b = fp1.values(), fp2.values()
-    failed = np.abs(a - b) > tol_abs + tol_rel * np.maximum(np.abs(a), np.abs(b))
-    if not failed.any():
+    a, b = fp1.values, fp2.values
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite differences fail below
+        diff = np.abs(a - b)
+        ok = (diff <= tol_abs + tol_rel * np.maximum(np.abs(a), np.abs(b))) & np.isfinite(diff)
+    if ok.all():
         return None
-    i = int(failed.argmax())
-    return names[i], fp1.entries[i][1], fp2.entries[i][1]
+    i = int(ok.argmin())
+    v1, v2 = float(a[i]), float(b[i])
+    if not (np.isfinite(v1) and np.isfinite(v2)):
+        raise ValueError(f"invariant {names[i]} is not finite: {v1!r} vs {v2!r}")
+    return names[i], v1, v2
 
 
 def q_trilinear(b, r, s, t):

@@ -117,7 +117,7 @@ class _Frame:
         self.spectra = [np.array(cls.spectra[q]) for q in self.perm]
         self.slots = [s for _, s in cls.slots]   # Pauli indices on frame qubits 0 (and 1)
         self.grams = tuple(np.diag(np.array(s, dtype=float)) for s in cls.spectra)
-        self.fpd = dict(fp.entries)
+        self.fp = fp
 
     def key(self, idx):
         return component_key(self.orig(idx))
@@ -129,8 +129,9 @@ class _Frame:
         return _from_coefficients(np.ascontiguousarray(vals.transpose(self.inverse)))
 
     def measured(self, known, names, what):
+        """Fingerprint values of names less their values in the Fingerprint known."""
         try:
-            return np.array([self.fpd[n] - known[n] for n in names])
+            return self.fp.take(names) - known.take(names)
         except KeyError as exc:
             raise ValueError(f"fingerprint lacks entry {exc} needed for {what}") from exc
 
@@ -230,7 +231,7 @@ def solve_single_zero(fp, cf):
         raise SingularSystemError(
             f"triple-product prefactor {pref:.3e} too small to solve", abs(pref))
 
-    known = dict(single_zero_extras(fr.known(_row_mask([p])), _VEC_NAMES[zq], fr.grams))
+    known = single_zero_extras(fr.known(_row_mask([p])), _VEC_NAMES[zq], fr.grams)
 
     A1, A2 = vsys.Lambda @ vsys.F, vsys.Theta @ vsys.G
     first = fr.grid_solve(known, functools.partial(extra_name, zq, fr.perm[1]), (1,), [A1],
@@ -299,22 +300,19 @@ def _row_group(label, keys, P):
     return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, False)
 
 
-def _resolve_linear_sign(fpd, sgn_known, t_unit, names, grams):
+def _resolve_linear_sign(fr, sgn_known, t_unit, names):
     """Best sign estimate from invariants linear in the unknown block.
 
     sgn_known holds the sign-resolution values of the known part.  Returns
     (value, resolved): value solves measured = known + value*unit using the
-    equation with the largest unit contribution.
+    first of the equations with the largest unit contribution.
     """
-    sgn_unit = dict(sign_resolution(t_unit, grams))
-    best = (0.0, 0.0)
-    for n in names:
-        contrib = sgn_unit[n] - sgn_known[n]
-        if abs(contrib) > abs(best[1]):
-            best = (fpd[n] - sgn_known[n], contrib)
-    if abs(best[1]) <= SIGN_DEN_TOL:
+    measured = fr.measured(sgn_known, names, "sign resolution")
+    contrib = sign_resolution(t_unit, fr.grams).take(names) - sgn_known.take(names)
+    i = int(np.abs(contrib).argmax())
+    if abs(contrib[i]) <= SIGN_DEN_TOL:
         return 0.0, False
-    return best[0] / best[1], True
+    return measured[i] / contrib[i], True
 
 
 def _recover_diff(fr):
@@ -325,7 +323,7 @@ def _recover_diff(fr):
     mask = np.zeros((4, 4, 4), dtype=bool)
     mask[p, q] = True
     t_known = fr.known(mask)
-    sq_known = dict(squared_family(t_known, fr.grams))
+    sq_known = squared_family(t_known, fr.grams)
 
     ckey = fr.key((p, q, 0))
     c2 = float(_clamp(fr.measured(sq_known, [coupling_square_name(P[0], P[1], 1, 1)], ckey),
@@ -348,19 +346,19 @@ def _recover_diff(fr):
         coupling = SignGroup(ckey, {ckey: c_mag}, bool(c2 <= ZERO_SQUARE))
         return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], notes)
 
-    sgn_known = dict(sign_resolution(t_known, fr.grams))
+    sgn_known = sign_resolution(t_known, fr.grams)
     if c2 <= ZERO_SQUARE:
         coupling = SignGroup(ckey, {ckey: 0.0}, True)
     else:
         val, ok = _resolve_linear_sign(
-            fr.fpd, sgn_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
-            [sign_name(path, r) for path in ((0, 1, 2), (1, 0, 2)) for r in _R3], fr.grams)
+            fr, sgn_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
+            [sign_name(path, r) for path in ((0, 1, 2), (1, 0, 2)) for r in _R3])
         coupling = SignGroup(ckey, {ckey: np.copysign(c_mag, val) if ok else c_mag}, ok)
     if not fiber.resolved:
         vals = list(fiber.components.values())
         sigma, ok = _resolve_linear_sign(
-            fr.fpd, sgn_known, fr.known(mask, [0.0, *vals]),
-            [sign_q_name(v, r, s) for v in (0, 1) for r in _R3 for s in _R3], fr.grams)
+            fr, sgn_known, fr.known(mask, [0.0, *vals]),
+            [sign_q_name(v, r, s) for v in (0, 1) for r in _R3 for s in _R3])
         sign = np.copysign(1.0, sigma) if ok else 1.0
         fiber = SignGroup(fiber.label, {k: float(sign * x) for k, x in zip(keys, vals)}, ok)
     return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], [])
@@ -417,7 +415,7 @@ def _recover_same(fr):
     spec, vec = fr.spectra, fr.vectors
     lam = [_power_matrix(x) for x in spec]
     lam4 = [_power_matrix(x ** 2) for x in spec]
-    sq_known = dict(squared_family(fr.known(_row_mask(fr.slots)), fr.grams))
+    sq_known = squared_family(fr.known(_row_mask(fr.slots)), fr.grams)
 
     def solve(name, qubits, what, lams=lam4):
         return fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what)

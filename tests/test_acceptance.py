@@ -65,8 +65,8 @@ def test_3_invariance_and_soundness_500_trials():
         b = decompose(rho)
         u1, u2, u3 = haar_su2(rng), haar_su2(rng), haar_su2(rng)
         b2 = act(b, LocalRotation.from_su2(u1, u2, u3))
-        v1 = np.array([v for _, v in all_invariants(b)])
-        v2 = np.array([v for _, v in all_invariants(b2)])
+        v1 = all_invariants(b).values
+        v2 = all_invariants(b2).values
         rel = np.abs(v1 - v2) / np.maximum(1e-4, np.maximum(np.abs(v1), np.abs(v2)))
         ok = np.abs(v1 - v2) <= np.maximum(1e-12, 1e-8 * np.maximum(np.abs(v1), np.abs(v2)))
         worst = max(worst, float(rel.max())) if not ok.all() else worst

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from lu3q import canonicalize, decompose, random_mixed
+from lu3q import (Fingerprint, all_invariants, canonicalize, decompose, first_mismatch,
+                  full_fingerprint, generic_fingerprint, random_mixed, sign_resolution,
+                  single_zero_extras, squared_family)
+from conftest import zeroed_tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,6 +57,32 @@ def test_family_costs_runs(monkeypatch, rng):
     costs = spans.family_costs([tensor], reps=1)
     assert sorted(costs) == [f"invariants.family.{k}_us"
                              for k in ("extras", "generic", "sign", "squared")]
+
+
+def test_entry_hooks_count_fingerprint_entries(monkeypatch, rng):
+    """The hooks that count evaluated and compared entries read the families'
+    results and first_mismatch's witness as lu3q returns them."""
+    spans = load_spans(monkeypatch)
+    b = decompose(random_mixed(rng))
+    forms = [canonicalize(zeroed_tensor(rng, slots)) for slots in ([("a", 1)], [("a", 0), ("b", 1)])]
+    results = [generic_fingerprint(b), single_zero_extras(b, "a"), squared_family(b),
+               sign_resolution(b), all_invariants(b)]
+    results += [full_fingerprint(cf.tensor, cf.orbit_class) for cf in forms]
+    assert [spans._entries(r) for r in results] == [75, 15, 189, 30, 339, 90, 339]
+
+    tracer = spans.Tracer()
+    spans._on_entries(tracer, None, (b,), results[0])
+    assert tracer.counts["entries_evaluated"] == 75
+    fp = results[0]
+    values = fp.values.copy()
+    values[40] += 1.0
+    failing = (fp, Fingerprint(fp.orbit_class, fp.names, values))
+    witness = first_mismatch(*failing)
+    assert witness[0] == fp.names[40]
+    spans._on_mismatch(tracer, None, failing, witness)
+    assert tracer.counts["entries_compared"] == 41
+    spans._on_mismatch(tracer, None, (fp, fp), first_mismatch(fp, fp))
+    assert tracer.counts["entries_compared"] == 41 + 75
 
 
 @pytest.mark.parametrize("script", ["spans.py", "workloads.py", "run.py"])

@@ -1,5 +1,6 @@
 """Canonical form, orbit classification and the equivalence decision."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -176,6 +177,55 @@ def test_equivalent_builds_one_invariant_context_per_state(case, rng, monkeypatc
     assert v.verdict == ("equivalent" if case == "two-zero" else "inconclusive")
     assert len(grams) == 2
     assert acts == []
+
+
+def huge_offdiagonal_state(mag, extra=0.0):
+    """Hermitian, trace 1, far from positive: its higher invariants overflow."""
+    rho = np.eye(8, dtype=complex) / 8
+    for (i, j), v in (((0, 5), mag), ((2, 3), 0.5 * mag), ((1, 6), extra * mag)):
+        rho[i, j] = rho[j, i] = v
+    return rho
+
+
+def test_equivalent_rejects_non_finite_invariants():
+    rho = huge_offdiagonal_state(1e100)
+    # numpy overflows on the way; whether it warns is not what is tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="is not finite"):
+            equivalent(rho, rho)
+        # a finite entry that fails first is still the witness
+        v = equivalent(rho, huge_offdiagonal_state(1e100, 0.3))
+    assert (v.verdict, v.witness) == ("inequivalent", "trX^1")
+
+
+def reflect(b, qubit, axis):
+    """b with one Bloch axis of qubit reversed: every coefficient carrying
+    Pauli index axis + 1 on qubit changes sign.  A det -1 map, not a rotation."""
+    d = np.ones(3)
+    d[axis] = -1.0
+    vec = ("alpha", "beta", "gamma")[qubit]
+    fields = {vec: d * getattr(b, vec), "Q": b.Q * d.reshape([3 if n == qubit else 1 for n in range(3)])}
+    for name, (p, q) in (("R", (0, 1)), ("S", (0, 2)), ("T", (1, 2))):
+        if qubit in (p, q):
+            fields[name] = getattr(b, name) * (d[:, None] if qubit == p else d)
+    return dataclasses.replace(b, **fields)
+
+
+@pytest.mark.parametrize("slots", [[("a", 0), ("a", 1)], [("a", 0), ("a", 2)], [("a", 1), ("a", 2)],
+                                   [("b", 0), ("b", 2)], [("g", 1), ("g", 2)]])
+def test_two_zero_same_reflection_is_not_equivalent(slots, rng):
+    """Reversing a zero axis of the zero-carrying qubit leaves every polynomial
+    invariant of the class fingerprint unchanged but leaves the orbit; a
+    rotated copy of the result must not compare equivalent."""
+    qubit = "abg".index(slots[0][0])
+    for _ in range(2):
+        b = BlochTensor.from_components(0.05 * zeroed_tensor(rng, slots).components())
+        rho = reconstruct(b)
+        for _, axis in slots:
+            mirrored = reconstruct(reflect(b, qubit, axis))
+            v = equivalent(rho, conjugate(mirrored, haar_su2(rng), haar_su2(rng), haar_su2(rng)))
+            assert v.classes[0] == v.classes[1] and v.classes[0].startswith("two-zero-same")
+            assert v.verdict not in ("equivalent", "equivalent-up-to-sign"), v
 
 
 def test_degenerate_agreement_is_inconclusive():

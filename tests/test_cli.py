@@ -68,6 +68,22 @@ def test_fingerprint_same_bytes_for_density_and_bloch(tmp_path, family_file, cap
     assert len(doc["entries"]) == 90
 
 
+def test_bloch_input_builds_no_density(tmp_path, family_file, capsys, monkeypatch):
+    """fingerprint and reconstruct read a Bloch input's tensor as given: no
+    density is rebuilt, and the output is that of the density input."""
+    src = family_file("rho.json", 0.1, 0.0, 0.2)
+    bloch = tmp_path / "bloch.json"
+    assert main(["decompose", src, "--out", str(bloch)]) == 0
+    real, calls = cli.reconstruct, []
+    monkeypatch.setattr(cli, "reconstruct", lambda b: calls.append(b) or real(b))
+    for command in ("fingerprint", "reconstruct"):
+        assert main([command, src]) == 0
+        want = capsys.readouterr()
+        assert main([command, str(bloch)]) == 0
+        assert capsys.readouterr() == want
+    assert calls == []
+
+
 def test_fingerprint_generic_has_75_entries(tmp_path, rng, capsys):
     path = tmp_path / "b.json"
     path.write_text(serialize.bloch_to_json(physical_bloch(rng)))

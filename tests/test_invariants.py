@@ -59,13 +59,13 @@ def expected_sign_names():
 def test_enumeration_counts_and_order(rng):
     b = random_bloch(rng)
     fp = generic_fingerprint(b)
-    assert fp.names() == expected_generic_names()
+    assert list(fp.names) == expected_generic_names()
     assert len(fp) == 75
     for vec in "abg":
-        assert [n for n, _ in single_zero_extras(b, vec)] == expected_extras_names(vec)
-    assert [n for n, _ in squared_family(b)] == expected_squared_names()
-    assert [n for n, _ in sign_resolution(b)] == expected_sign_names()
-    all_names = [n for n, _ in all_invariants(b)]
+        assert list(single_zero_extras(b, vec).names) == expected_extras_names(vec)
+    assert list(squared_family(b).names) == expected_squared_names()
+    assert list(sign_resolution(b).names) == expected_sign_names()
+    all_names = list(all_invariants(b).names)
     expected = (expected_generic_names() + expected_extras_names("a")
                 + expected_extras_names("b") + expected_extras_names("g")
                 + expected_squared_names() + expected_sign_names())
@@ -111,7 +111,7 @@ def test_squared_family_matches_norm_oracle(rng):
     for _ in range(3):
         b = random_bloch(rng)
         for grams in (None, gram(random_bloch(rng).Q)):
-            sq = dict(squared_family(b, grams))
+            sq = dict(squared_family(b, grams).entries)
             G = [powers(m) for m in (gram(b.Q) if grams is None else grams)]
             vecs = (b.alpha, b.beta, b.gamma)
             couple = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
@@ -148,7 +148,7 @@ def test_squared_family_matches_norm_oracle(rng):
 
 def test_sign_family_matches_cofactor_oracle(rng):
     b = random_bloch(rng)
-    sg = dict(sign_resolution(b))
+    sg = dict(sign_resolution(b).entries)
     X, Y, Z = gram(b.Q)
     cof_a = np.cross(b.alpha, X @ b.alpha)
     cof_b = np.cross(b.beta, Y @ b.beta)
@@ -169,10 +169,11 @@ def test_sign_entries_shared_with_extras_are_bit_identical(rng):
               for s, t in (("bTg", "b,Tg"), ("aSg", "a,Sg")) for r in (1, 2, 3)]
     for _ in range(30):
         b = random_bloch(rng)
-        every = dict(all_invariants(b))
+        every = dict(all_invariants(b).entries)
         for grams in (None, gram(random_bloch(rng).Q)):
-            sg = dict(sign_resolution(b, grams))
-            ex = dict(single_zero_extras(b, "a", grams) + single_zero_extras(b, "b", grams))
+            sg = dict(sign_resolution(b, grams).entries)
+            ex = dict(single_zero_extras(b, "a", grams).entries
+                      + single_zero_extras(b, "b", grams).entries)
             for sign, extra in shared:
                 assert every[sign] == every[extra], (sign, extra)
                 assert sg[sign] == ex[extra], (sign, extra, grams is None)
@@ -187,7 +188,7 @@ def test_extras_closed_form_at_canonical_point(rng):
         Y, Z = gram(b.Q).Y, gram(b.Q).Z
         powers = lambda m: [np.eye(3), m, m @ m]
         Yp, Zp = powers(Y), powers(Z)
-        extras = dict(single_zero_extras(b, "a"))
+        extras = dict(single_zero_extras(b, "a").entries)
         for r in (1, 2, 3):
             for s in (1, 2, 3):
                 w = np.einsum("jk,j,k->", b.Q[2], Yp[r - 1] @ b.beta, Zp[s - 1] @ b.gamma)
@@ -198,17 +199,17 @@ def test_extras_of_each_vector_are_the_alpha_extras_after_relabeling(rng):
     for _ in range(20):
         b = physical_bloch(rng)
         for vec, perm in (("a", (0, 1, 2)), ("b", (1, 0, 2)), ("g", (2, 0, 1))):
-            direct = np.array([v for _, v in single_zero_extras(b, vec)])
-            relabeled = np.array([v for _, v in single_zero_extras(b.permute(perm), "a")])
+            direct = single_zero_extras(b, vec).values
+            relabeled = single_zero_extras(b.permute(perm), "a").values
             assert np.max(np.abs(direct - relabeled)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_all_invariants_are_rotation_invariant(rng):
     for _ in range(30):
         b = physical_bloch(rng)
-        base = np.array([v for _, v in all_invariants(b)])
+        base = all_invariants(b).values
         rot = LocalRotation.random(rng)
-        vals = np.array([v for _, v in all_invariants(act(b, rot))])
+        vals = all_invariants(act(b, rot)).values
         assert np.all(np.abs(vals - base) <= 1e-12 + 1e-8 * np.maximum(np.abs(vals), np.abs(base)))
 
 
@@ -233,13 +234,13 @@ def test_q_trilinear_matches_generic_entry(rng):
 def test_fingerprint_get_and_dict_round_trip(rng):
     b = random_bloch(rng)
     fp = generic_fingerprint(b)
-    assert fp.get("trX^1") == fp.values()[0]
+    assert fp.get("trX^1") == fp.values[0]
     with pytest.raises(KeyError):
         fp.get("no-such-invariant")
     again = Fingerprint.from_dict(fp.to_dict())
     assert again.orbit_class == fp.orbit_class
-    assert again.names() == fp.names()
-    assert np.array_equal(again.values(), fp.values())
+    assert again.names == fp.names
+    assert np.array_equal(again.values, fp.values)
 
 
 def test_first_mismatch_finds_perturbed_entry(rng):
@@ -247,18 +248,18 @@ def test_first_mismatch_finds_perturbed_entry(rng):
     fp1 = generic_fingerprint(b)
     fp2 = generic_fingerprint(b)
     assert first_mismatch(fp1, fp2) is None
-    fp2.entries[40] = (fp2.entries[40][0], fp2.entries[40][1] + 1.0)
+    fp2 = perturbed(fp2, {40: 1.0})
     name, v1, v2 = first_mismatch(fp1, fp2)
-    assert name == fp2.entries[40][0]
+    assert name == fp2.names[40]
     assert abs((v2 - v1) - 1.0) < 1e-12
-    fp3 = Fingerprint("generic", [("other", 0.0)])
+    fp3 = from_pairs([("other", 0.0)], "generic")
     with pytest.raises(ValueError):
         first_mismatch(fp1, fp3)
 
 
 def reference_first_mismatch(fp1, fp2, tol_abs, tol_rel):
     """The entry-by-entry loop that first_mismatch replaces."""
-    if fp1.names() != fp2.names():
+    if fp1.names != fp2.names:
         raise ValueError("different names")
     for (name, v1), (_, v2) in zip(fp1.entries, fp2.entries):
         if abs(v1 - v2) > tol_abs + tol_rel * max(abs(v1), abs(v2)):
@@ -267,14 +268,18 @@ def reference_first_mismatch(fp1, fp2, tol_abs, tol_rel):
 
 
 def perturbed(fp, changes):
-    entries = list(fp.entries)
+    values = fp.values.copy()
     for i, delta in changes.items():
-        entries[i] = (entries[i][0], entries[i][1] + delta)
-    return Fingerprint(fp.orbit_class, entries)
+        values[i] += delta
+    return Fingerprint(fp.orbit_class, fp.names, values)
+
+
+def from_pairs(entries, tag="x"):
+    return Fingerprint.from_dict({"class": tag, "entries": entries})
 
 
 def test_first_mismatch_matches_reference_loop(rng):
-    fp = Fingerprint("all", all_invariants(physical_bloch(rng)))
+    fp = all_invariants(physical_bloch(rng))
     tols = (1e-9, 1e-8)
     cases = [{}, {17: 1e-3}, {250: 1e-6}, {40: 1e-5, 41: 1e-2, 300: 1.0}]
     for _ in range(100):   # one to five changes, at a scale below, near or above the tolerance
@@ -293,18 +298,32 @@ def test_first_mismatch_matches_reference_loop(rng):
     assert name == fp.entries[40][0] and (v1, v2) == (fp.entries[40][1], fp.entries[40][1] + 1e-5)
 
 
+def test_first_mismatch_rejects_non_finite_entries():
+    """A NaN or infinite entry neither passes nor is a witness, unless a
+    failing finite entry comes first; numpy warns of nothing on the way."""
+    for v1, v2 in ((np.inf, -np.inf), (np.nan, 1.0), (np.inf, np.inf), (1.0, np.inf),
+                   (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="q is not finite"):
+            first_mismatch(from_pairs([("p", 1.0), ("q", v1)]), from_pairs([("p", 1.0), ("q", v2)]))
+    inf = from_pairs([("p", 1.0), ("q", np.inf)])
+    assert first_mismatch(inf, from_pairs([("p", 2.0), ("q", np.nan)])) == ("p", 1.0, 2.0)
+    # finite values whose difference overflows still differ
+    assert first_mismatch(from_pairs([("p", 1e308)]), from_pairs([("p", -1e308)])) == \
+        ("p", 1e308, -1e308)
+
+
 def test_first_mismatch_boundary_and_names():
     # dyadic values: |a - b| equals tol_abs + tol_rel * max(|a|, |b|) exactly, which passes
-    at = Fingerprint("x", [("p", 1.0), ("q", -3.0)])
+    at = from_pairs([("p", 1.0), ("q", -3.0)])
     for other, want in (([("p", 2.0), ("q", -3.0)], None),
                         ([("p", 2.0), ("q", -3.0 - 2.0 ** -40)], None),
                         ([("p", 2.0 + 2.0 ** -51), ("q", -3.0)], ("p", 1.0, 2.0 + 2.0 ** -51)),
                         ([("p", 1.0), ("q", -5.5)], ("q", -3.0, -5.5))):
-        fp = Fingerprint("x", other)
+        fp = from_pairs(other)
         assert first_mismatch(at, fp, 0.5, 0.25) == want
         assert reference_first_mismatch(at, fp, 0.5, 0.25) == want
-    empty = Fingerprint("x", [])
+    empty = from_pairs([])
     assert first_mismatch(empty, empty) is None
     for names in (["p", "r"], ["q", "p"], ["p"], ["p", "q", "r"]):
         with pytest.raises(ValueError):
-            first_mismatch(at, Fingerprint("x", [(n, 1.0) for n in names]))
+            first_mismatch(at, from_pairs([(n, 1.0) for n in names]))

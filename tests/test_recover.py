@@ -256,7 +256,8 @@ def test_two_zero_singular_threshold(rng, monkeypatch):
 
 def test_two_zero_inconsistent_fingerprint(rng):
     cf, fp = rotated_case(rng, [("a", 1), ("b", 2)])
-    entries = [(n, v - 10.0 if n == "sq:RYRX:r=1,s=1" else v) for n, v in fp.entries]
-    bad = Fingerprint(fp.orbit_class, entries)
+    values = fp.values.copy()
+    values[fp.names.index("sq:RYRX:r=1,s=1")] -= 10.0
+    bad = Fingerprint(fp.orbit_class, fp.names, values)
     with pytest.raises(InconsistentInvariantsError):
         recover_two_zero(bad, cf)
