@@ -116,13 +116,7 @@ class Verdict:
 
 def _lex_sign(vec, mask):
     """Sign triple (det +1) maximizing vec[mask] lexicographically."""
-    best = _SIGN_CHOICES[0]
-    best_key = tuple((best * vec)[mask])
-    for cand in _SIGN_CHOICES[1:]:
-        key = tuple((cand * vec)[mask])
-        if key > best_key:
-            best, best_key = cand, key
-    return best
+    return max(_SIGN_CHOICES, key=lambda c: tuple((c * vec)[mask]))   # first of equal keys
 
 
 def _classify(spectra, masks, deg_tol):
@@ -176,8 +170,10 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
 
     Returns CanonicalForm(tensor, rotation, orbit_class) with
     tensor == act(b, rotation), diagonal non-increasing Gram matrices and
-    the residual signs fixed by the lexicographic rule.
+    the residual signs fixed by the lexicographic rule.  ValueError unless
+    zero_tol and deg_tol are positive finite numbers.
     """
+    Tolerances(zero_tol=zero_tol, deg_tol=deg_tol)
     fr = _frame(b, gram(b.Q), zero_tol, deg_tol)
     signs = [_lex_sign(v, m)[:, None] for v, m in zip(fr.vectors, fr.masks)]
     rot = LocalRotation(*(d * g for d, g in zip(signs, fr.rotations)))
@@ -185,7 +181,9 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
 
 
 def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
-    """Orbit class of a coefficient tensor, read off its Gram eigen-frames."""
+    """Orbit class of a coefficient tensor, read off its Gram eigen-frames;
+    the tolerances are checked as canonicalize checks them."""
+    Tolerances(zero_tol=zero_tol, deg_tol=deg_tol)
     return _frame(b, gram(b.Q), zero_tol, deg_tol).orbit_class
 
 

@@ -377,7 +377,11 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     Raises ValueError if the name sequences differ (incomparable classes), or
     if an entry that is NaN or infinite on either side comes before any
     finite entry that fails: such an entry neither passes nor is a witness.
+    ValueError also unless each tolerance is finite and not negative.
     """
+    for what, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
+        if not 0.0 <= tol < np.inf:
+            raise ValueError(f"{what} must be a non-negative finite number, got {tol}")
     names = fp1.names
     if names != fp2.names:
         raise ValueError("fingerprints enumerate different invariants and cannot be compared")

@@ -205,7 +205,11 @@ def decompose(rho):
     Returns the BlochTensor of all 63 non-identity coefficients.  The map is
     linear in rho; decompose(reconstruct(b)) == b up to rounding.
     """
-    rho = validate_density(rho)
+    return _expand(validate_density(rho))
+
+
+def _expand(rho):
+    """decompose without the checks, for a complex 8x8 array already known good."""
     return _from_coefficients(np.einsum("ijkab,ba->ijk", _STRINGS, rho).real)
 
 
@@ -220,9 +224,7 @@ def reconstruct(b):
 
 def density_to_dict(rho):
     rho = _as_matrix(rho)
-    matrix = [[[float(rho[r, c].real), float(rho[r, c].imag)] for c in range(8)]
-              for r in range(8)]
-    return {"dim": 8, "matrix": matrix}
+    return {"dim": 8, "matrix": np.stack((rho.real, rho.imag), axis=-1).tolist()}
 
 
 def density_from_dict(data):

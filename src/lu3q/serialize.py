@@ -1,15 +1,14 @@
-"""JSON input/output with deterministic float formatting.
+"""JSON input/output.
 
-Floats are emitted with 17 significant digits so that write/read round-trips
-are exact for IEEE doubles and repeated runs produce byte-identical output.
+Output goes through the standard library's encoder, which prints each float
+as its repr: the shortest text that parses back to the same double, so a
+write/read round trip is exact and repeated runs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-
-import numpy as np
 
 from .errors import FormatError
 from .pauli import (bloch_from_dict, bloch_to_dict, density_from_dict,
@@ -24,51 +23,15 @@ __all__ = [
 ]
 
 
-def _format_float(x):
-    if x != x:
-        raise FormatError("cannot serialize NaN")
-    if x in (float("inf"), float("-inf")):
-        raise FormatError("cannot serialize infinity")
-    return format(x, ".17g")
-
-
-def _emit(obj, out):
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def dumps(obj):
-    """Serialize to a JSON string with 17-significant-digit floats."""
-    out = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """One line of JSON text, floats as their repr; FormatError for NaN,
+    infinity or an object JSON cannot hold."""
+    try:
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except ValueError as exc:   # what allow_nan=False raises
+        raise FormatError(f"cannot serialize NaN or infinity: {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"cannot serialize: {exc}") from exc
 
 
 def density_to_json(rho):

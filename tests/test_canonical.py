@@ -270,6 +270,15 @@ def test_tolerances_validation():
                 Tolerances(**{name: bad})
 
 
+def test_canonicalize_and_classify_validate_tolerances(rng):
+    b = physical_bloch(rng)
+    for name in ("zero_tol", "deg_tol"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            for fn in (canonicalize, classify):
+                with pytest.raises(ValueError, match=name):
+                    fn(b, **{name: bad})
+
+
 def test_custom_tolerances_change_verdict():
     r1 = example_state(0.1, 0, 0.1)
     r2 = example_state(0.1, 0, 0.100001)

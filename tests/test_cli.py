@@ -13,6 +13,7 @@ import pytest
 from lu3q import FormatError, act, cli, decompose, example_state, ghz_state, serialize
 from lu3q.cli import main
 from conftest import physical_bloch, zeroed_tensor
+from test_canonical import huge_offdiagonal_state
 
 
 @pytest.fixture
@@ -328,3 +329,55 @@ def test_subprocess_entry_point(tmp_path):
     src.write_text(proc.stdout)
     assert run("compare", str(src), str(src)).returncode == 0
     assert run().returncode == 3
+
+
+def test_stdout_is_the_standard_encoding(tmp_path, family_file, capsys):
+    """Every JSON-printing subcommand writes what json.dumps writes for its own
+    output: floats as their shortest repr, one line, a final newline."""
+    src, other = family_file("rho.json", 0.1, 0.0, 0.2), family_file("rho2.json", 0.1, 0.0, 0.3)
+    for args in (["example", "--a", "0.1", "--c", "0.2"], ["decompose", src], ["fingerprint", src],
+                 ["compare", src, other], ["orbit-test", src, "--trials", "2"],
+                 ["reconstruct", src]):
+        main(args)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n", args
+
+
+def test_orbit_test_reports_on_large_accepted_input(tmp_path, capsys):
+    """Rounding in the rotated oracle density grows with the entries; the
+    input passed validation, so the oracle does not check the rotation again."""
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 5] = rho[5, 0] = 1e6
+    rho[2, 3] = rho[3, 2] = 5e5
+    path = tmp_path / "big.json"
+    path.write_text(serialize.density_to_json(rho))
+    assert main(["orbit-test", str(path), "--trials", "3"]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["trials", "max_invariant_deviation", "max_oracle_mismatch", "ok"]
+
+
+def test_fingerprint_overflow_is_compute_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(serialize.density_to_json(huge_offdiagonal_state(1e100)))
+    with np.errstate(all="ignore"):
+        assert main(["fingerprint", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "lu3q: error: invariant trX^2 is not finite: inf"
+
+
+def test_rejected_payloads_exit_three(tmp_path, rng, capsys):
+    bloch = json.loads(serialize.bloch_to_json(physical_bloch(rng)))
+    no_beta = {k: v for k, v in bloch.items() if k != "beta"}
+    short_alpha = dict(bloch, alpha=[0.1, 0.2])
+    wide = {"dim": 8, "matrix": [[[0.0, 0.0, 0.0]] * 8] * 8}
+    for payload, message in (([], "top-level JSON value must be an object"),
+                             ({"dim": 8}, "neither a 'matrix' nor an 'alpha' key"),
+                             (wide, "matrix must be 8x8 with [re, im] entries"),
+                             (no_beta, "bad coefficient payload: 'beta'"),
+                             (short_alpha, "alpha must have shape (3,)")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["fingerprint", str(path)]) == 3, payload
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], (message, err)

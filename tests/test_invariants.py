@@ -327,3 +327,19 @@ def test_first_mismatch_boundary_and_names():
     for names in (["p", "r"], ["q", "p"], ["p"], ["p", "q", "r"]):
         with pytest.raises(ValueError):
             first_mismatch(at, from_pairs([(n, 1.0) for n in names]))
+
+
+def test_first_mismatch_validates_tolerances(rng):
+    """A bound that is NaN, infinite or negative would make a fingerprint differ
+    from itself; zero is a valid bound."""
+    fp = all_invariants(physical_bloch(rng))
+    for name in ("tol_abs", "tol_rel"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                first_mismatch(fp, fp, **{name: bad})
+    assert first_mismatch(fp, fp, tol_abs=0.0, tol_rel=0.0) is None
+
+
+def test_single_zero_extras_rejects_unknown_vector(rng):
+    with pytest.raises(ValueError, match="vector must be one of"):
+        single_zero_extras(physical_bloch(rng), "x")

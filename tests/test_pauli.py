@@ -221,3 +221,15 @@ def test_component_key():
     assert component_key((":", 2, ":")) == "Q[:,2,:]"
     with pytest.raises(ValueError):
         component_key((1, 0, 0))
+
+
+def test_dict_codecs_reject_empty_payloads():
+    with pytest.raises(FormatError, match='"matrix" key'):
+        density_from_dict({})
+    with pytest.raises(FormatError, match='"alpha" key'):
+        bloch_from_dict({})
+
+
+def test_from_components_rejects_wrong_length():
+    with pytest.raises(ValueError, match="expected 63 components"):
+        BlochTensor.from_components(np.zeros(62))

@@ -56,6 +56,11 @@ def test_adjoint_rejects_non_unitary():
         adjoint(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_adjoint_rejects_wrong_shape():
+    with pytest.raises(NotSpecialUnitaryError, match="2x2"):
+        adjoint(np.eye(3))
+
+
 def test_haar_su2_is_special_unitary(rng):
     for _ in range(100):
         u = haar_su2(rng)

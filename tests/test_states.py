@@ -103,6 +103,11 @@ def test_product_state_rejects_long_vectors():
         product_state((0, 0, 2), (0, 0, 1), (0, 0, 1))
 
 
+def test_product_state_rejects_short_vectors():
+    with pytest.raises(ValueError, match="3 components"):
+        product_state((0, 1), (0, 0, 1), (0, 0, 1))
+
+
 def test_random_mixed_contract(rng):
     rho = random_mixed(np.random.default_rng(7), rank=8)
     again = random_mixed(np.random.default_rng(7), rank=8)

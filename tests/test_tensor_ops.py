@@ -42,6 +42,13 @@ def test_flatten_rejects_bad_axis(rng):
         flatten(q, 4)
 
 
+def test_gram_and_refold_reject_wrong_shapes():
+    with pytest.raises(ValueError, match="3x3x3"):
+        gram(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="3x9"):
+        refold(np.zeros((3, 8)), 1)
+
+
 def test_gram_matrices_match_flattenings(rng):
     """gram is bit for bit the product of each flattening with its transpose."""
     for _ in range(200):
