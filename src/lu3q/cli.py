@@ -138,17 +138,17 @@ def _cmd_decompose(args):
     return 0
 
 
-def _canonical_fingerprint(args):
-    """The canonical form of the input state and its class fingerprint."""
+def _canonical(args):
+    """The canonical form of the input state."""
     tols = _tolerances(args)
     rho, b = _load_state(args.input)
-    cf = canonicalize(decompose(rho) if b is None else b,
-                      zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
-    return cf, full_fingerprint(cf.tensor, cf.orbit_class)
+    return canonicalize(decompose(rho) if b is None else b,
+                        zero_tol=tols.zero_tol, deg_tol=tols.deg_tol)
 
 
 def _cmd_fingerprint(args):
-    _, fp = _canonical_fingerprint(args)
+    cf = _canonical(args)
+    fp = full_fingerprint(cf.tensor, cf.orbit_class)
     bad = ~np.isfinite(fp.values)
     if bad.any():   # an overflow in an accepted input: a compute error, as in compare
         i = int(bad.argmax())
@@ -207,15 +207,14 @@ def _cmd_orbit_test(args):
 
 
 def _cmd_reconstruct(args):
-    cf, fp = _canonical_fingerprint(args)
+    cf = _canonical(args)
     kind = cf.orbit_class.kind
-    if kind == "single-zero":
-        rec = solve_single_zero(fp, cf)
-    elif kind in ("two-zero-diff", "two-zero-same"):
-        rec = recover_two_zero(fp, cf)
-    else:
+    # the class decides whether there is anything to solve, before any invariant is evaluated
+    if kind not in ("single-zero", "two-zero-diff", "two-zero-same"):
         raise WrongClassError(
             f"reconstruction covers single-zero and two-zero classes; input is {cf.orbit_class.tag}")
+    fp = full_fingerprint(cf.tensor, cf.orbit_class)
+    rec = (solve_single_zero if kind == "single-zero" else recover_two_zero)(fp, cf)
     result = {"class": cf.orbit_class.tag,
               "components": {k: v for grp in rec.groups for k, v in grp.components.items()}}
     if rec.squares:
@@ -251,7 +250,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        # an overflow in an accepted input surfaces as a non-finite result, which
+        # each subcommand reports as one error line, so numpy need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _HANDLERS[args.command](args)
     except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"lu3q: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FormatError",
+    "NotHermitianError",
+    "TraceNotOneError",
+    "NotRotationError",
+    "NotSpecialUnitaryError",
+    "WrongClassError",
+    "SingularSystemError",
+    "InconsistentInvariantsError",
+]
+
 
 class NotSpecialUnitaryError(ValueError):
     """2x2 matrix is not special unitary within tolerance."""

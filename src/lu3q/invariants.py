@@ -46,9 +46,6 @@ __all__ = [
     "first_mismatch",
     "q_trilinear",
     "q_trilinear_flat",
-    "grid_names",
-    "extra_name", "extra_q_name", "coupling_square_name", "q_square_name",
-    "vector_square_name", "slab_square_name", "sign_name", "sign_q_name",
 ]
 
 TOL_ABS = 1e-9
@@ -127,6 +124,8 @@ def sign_q_name(q, r, s):
 class _Ctx:
     """Per-tensor cache: Gram powers, power-weighted vectors, couplings, per qubit, and chains.
 
+    P[q][r-1] is G_q^{r-1}, one (3, 3, 3) array per qubit that every family reads.
+
     When grams is given, those matrices replace the ones derived from b.Q;
     reconstruction uses this to evaluate families on a partially zeroed
     tensor with the weights of the original canonical point.
@@ -136,7 +135,7 @@ class _Ctx:
         self.b = b
         self.G = gram(b.Q) if grams is None else grams
         eye = np.eye(3)
-        self.P = [[eye, g, g @ g] for g in self.G]
+        self.P = [np.array([eye, g, g @ g]) for g in self.G]
         # column r-1 holds G^{r-1} v
         self.V = [np.stack([p @ v for p in powers], axis=1)
                   for powers, v in zip(self.P, (b.alpha, b.beta, b.gamma))]
@@ -174,10 +173,14 @@ def _evaluate(tag, family, ctx, *args):
     return Fingerprint(tag, names, np.concatenate(values))
 
 
-def _grid2(entry):
-    """The 3x3 grid of entry(r, s), one call per entry: each entry keeps its own
-    contraction, where one batched einsum could sum in another order."""
-    return np.array([[entry(r, s) for s in _R3] for r in _R3])
+def _q_cofactor_grid(ctx, q, contract, operands):
+    """The 3x3 grid of cof_q . einsum(contract, Q, *operands(r, s)) over r, s.
+
+    One einsum per entry: each entry keeps its own contraction, where one
+    batched einsum could sum in another order.
+    """
+    return np.array([[float(ctx.cof[q] @ np.einsum(contract, ctx.b.Q, *operands(r, s)))
+                      for s in _R3] for r in _R3])
 
 
 def _axes(*qubits):
@@ -220,17 +223,12 @@ def _extras_blocks(ctx, q):
     for o in (o1, o2):
         yield functools.partial(extra_name, q, o), np.array([_chain(ctx, (q, o), r) for r in _R3])
     contract = f"ijk,{_axes(o1)},{_axes(o2)}->{_axes(q)}"
-
-    def q_entry(r, s):
-        w = np.einsum(contract, ctx.b.Q, ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1])
-        return float(ctx.cof[q] @ w)
-
-    yield functools.partial(extra_q_name, q), _grid2(q_entry)
+    yield functools.partial(extra_q_name, q), _q_cofactor_grid(
+        ctx, q, contract, lambda r, s: (ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1]))
 
 
 def _squared_blocks(ctx):
-    b, C, V = ctx.b, ctx.C, ctx.V
-    P = [np.stack(powers) for powers in ctx.P]   # P[q][r-1] = G_q^{r-1}
+    b, C, V, P = ctx.b, ctx.C, ctx.V, ctx.P
     for p, q in _PAIRS:
         yield ((lambda r, s: coupling_square_name(p, q, s, r)),
                np.einsum("ij,rjk,lk,sli->rs", C[p, q], P[q], C[p, q], P[p]))
@@ -249,19 +247,15 @@ def _squared_blocks(ctx):
 
 
 def _sign_blocks(ctx):
-    b, P = ctx.b, ctx.P
+    P = ctx.P
     for path in _SIGN_PATHS:
         yield functools.partial(sign_name, path), np.array([_chain(ctx, path, r) for r in _R3])
     for q in (0, 1):
         o = 1 - q
         contract = f"ijk,{_axes(o, 2)}->{_axes(q)}"
         left = [p @ ctx.C[o, 2] for p in P[o]]   # [r-1] = G_o^{r-1} C_o2, shared by every s
-
-        def q_entry(r, s):
-            w = np.einsum(contract, b.Q, left[r - 1] @ P[2][s - 1])
-            return float(ctx.cof[q] @ w)
-
-        yield functools.partial(sign_q_name, q), _grid2(q_entry)
+        yield functools.partial(sign_q_name, q), _q_cofactor_grid(
+            ctx, q, contract, lambda r, s: (left[r - 1] @ P[2][s - 1],))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,10 +26,8 @@ import numpy as np
 from .errors import FormatError, NotHermitianError, TraceNotOneError
 
 __all__ = [
-    "PAULI",
     "BlochTensor",
     "pauli_string",
-    "component_key",
     "decompose",
     "reconstruct",
     "validate_density",

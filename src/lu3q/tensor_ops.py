@@ -8,8 +8,8 @@ Flattening layouts (1-indexed in the math, 0-indexed in code):
 
 That is, the chosen axis is moved to the front and the other two keep their
 order, the first remaining index slowest, which matches the column ordering
-of np.kron for the paired transformation laws.  flatten and refold do this
-with one np.moveaxis for every axis.
+of np.kron for the paired transformation laws.  flatten, refold and gram
+read these axis orders from one table, _ORDER.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["flatten", "refold", "gram", "GramTriple", "triple"]
+__all__ = ["flatten", "refold", "gram", "triple", "triple_cofactor"]
+
+# _ORDER[axis - 1]: the axes of Q in the order the flattening along axis lays them out
+_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def _check_axis(axis):
@@ -32,7 +35,7 @@ def flatten(Q, axis):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (3, 3, 3):
         raise ValueError(f"Q must be 3x3x3, got {Q.shape}")
-    return np.moveaxis(Q, axis - 1, 0).reshape(3, 9)
+    return Q.transpose(_ORDER[axis - 1]).reshape(3, 9)
 
 
 def refold(mat, axis):
@@ -41,7 +44,7 @@ def refold(mat, axis):
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 9):
         raise ValueError(f"flattening must be 3x9, got {mat.shape}")
-    return np.moveaxis(mat.reshape(3, 3, 3), 0, axis - 1)
+    return mat.reshape(3, 3, 3).transpose(np.argsort(_ORDER[axis - 1]))
 
 
 class GramTriple(NamedTuple):
@@ -55,12 +58,7 @@ def gram(Q):
 
     All three are symmetric positive semidefinite and share their trace.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (3, 3, 3):
-        raise ValueError(f"Q must be 3x3x3, got {Q.shape}")
-    # the three flattenings, as flatten lays them out
-    flats = (Q.reshape(3, 9), Q.transpose(1, 0, 2).reshape(3, 9),
-             Q.transpose(2, 0, 1).reshape(3, 9))
+    flats = (flatten(Q, axis) for axis in (1, 2, 3))
     return GramTriple(*(m @ m.T for m in flats))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from lu3q import FormatError, act, cli, decompose, example_state, ghz_state, serialize
 from lu3q.cli import main
-from conftest import physical_bloch, zeroed_tensor
+from conftest import physical_bloch, random_density, zeroed_tensor
 from test_canonical import huge_offdiagonal_state
 
 
@@ -193,6 +193,20 @@ def test_reconstruct_generic_is_compute_error(tmp_path, rng, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_reconstruct_checks_the_class_before_any_invariant(tmp_path, rng, capsys, monkeypatch):
+    calls = []
+    real = cli.full_fingerprint
+    monkeypatch.setattr(cli, "full_fingerprint", lambda *a: calls.append(a) or real(*a))
+    for rho, tag in ((np.eye(8) / 8, "degenerate:"), (random_density(rng), "generic")):
+        path = tmp_path / "rho.json"
+        path.write_text(serialize.density_to_json(rho))
+        assert main(["reconstruct", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("lu3q: error: reconstruction covers single-zero and two-zero "
+                              f"classes; input is {tag}")
+    assert calls == []
+
+
 def test_malformed_json_exit_three(tmp_path, rng, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -319,16 +333,20 @@ def test_positivity_warning_on_unphysical_input(capsys):
     assert "not positive semidefinite" in err
 
 
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "lu3q.cli", *args],
+                          capture_output=True, text=True)
+
+
 def test_subprocess_entry_point(tmp_path):
-    run = lambda *args: subprocess.run(
-        [sys.executable, "-c", "from lu3q.cli import run; run()", *args],
-        capture_output=True, text=True)
     src = tmp_path / "rho.json"
-    proc = run("example", "--a", "0.1", "--c", "0.2")
+    proc = run_module("example", "--a", "0.1", "--c", "0.17")
     assert proc.returncode == 0
     src.write_text(proc.stdout)
-    assert run("compare", str(src), str(src)).returncode == 0
-    assert run().returncode == 3
+    kind, rho = serialize.load_input(str(src))
+    assert kind == "density" and np.array_equal(rho, example_state(0.1, 0.0, 0.17))
+    assert run_module("compare", str(src), str(src)).returncode == 0
+    assert run_module().returncode == 3
 
 
 def test_stdout_is_the_standard_encoding(tmp_path, family_file, capsys):
@@ -357,13 +375,26 @@ def test_orbit_test_reports_on_large_accepted_input(tmp_path, capsys):
 
 
 def test_fingerprint_overflow_is_compute_error(tmp_path, capsys):
+    """Without an np.errstate here: the overflow on the way must not warn, which
+    this suite's warning filter would turn into an exception."""
     path = tmp_path / "huge.json"
     path.write_text(serialize.density_to_json(huge_offdiagonal_state(1e100)))
-    with np.errstate(all="ignore"):
-        assert main(["fingerprint", str(path)]) == 4
+    assert main(["fingerprint", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "lu3q: error: invariant trX^2 is not finite: inf"
+
+
+def test_overflow_prints_only_the_positivity_warning_and_one_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(serialize.density_to_json(huge_offdiagonal_state(1e100)))
+    warning = "warning: input is not positive semidefinite (smallest eigenvalue -1.000e+100)"
+    error = "lu3q: error: invariant trX^2 is not finite: inf"
+    for args, lines in ((["fingerprint", path], [warning, error]),
+                        (["compare", path, path], [warning, warning, error + " vs inf"]),
+                        (["orbit-test", path, "--trials", "2"], [warning, error + " vs inf"])):
+        proc = run_module(*map(str, args))
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (4, "", lines), args
 
 
 def test_rejected_payloads_exit_three(tmp_path, rng, capsys):

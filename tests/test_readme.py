@@ -1,7 +1,8 @@
 """The README's claims: the Library example prints what its comments say, the
 Command line block runs, the Thresholds table gives the value of each module
 constant it names, the tolerance flags it lists per subcommand are the ones
-the parser takes, and coefficient-tensor JSON has its keys in the order shown."""
+the parser takes, coefficient-tensor JSON has its keys in the order shown, and
+the package exports its modules' __all__ lists."""
 
 import contextlib
 import dataclasses
@@ -9,9 +10,11 @@ import importlib
 import io
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import lu3q
 from lu3q import BlochTensor, bloch_to_dict
 from lu3q.cli import main
 from conftest import physical_bloch
@@ -83,3 +86,13 @@ def test_coefficient_tensor_keys_in_readme_order(rng):
     keys = re.findall(r'"(\w+)":', block)
     assert keys == [f.name for f in dataclasses.fields(BlochTensor)]
     assert list(bloch_to_dict(physical_bloch(rng))) == keys
+
+
+def test_package_exports_each_module_list():
+    assert len(lu3q.__all__) == len(set(lu3q.__all__))
+    modules = [importlib.import_module(f"lu3q.{info.name}")
+               for info in pkgutil.iter_modules(lu3q.__path__)]
+    owners = {attr: module for module in modules for attr in getattr(module, "__all__", ())}
+    assert sorted(owners) == sorted(lu3q.__all__)
+    for attr, module in owners.items():
+        assert getattr(lu3q, attr) is getattr(module, attr), attr

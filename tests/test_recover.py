@@ -247,6 +247,13 @@ def test_two_zero_wrong_class(rng):
         recover_two_zero(fp, cf)
 
 
+def test_zero_factor_is_singular_with_magnitude_zero():
+    with pytest.raises(SingularSystemError) as info:
+        recover._checked_solve([np.eye(3), np.zeros((3, 3))], np.ones(9), "zero factor")
+    assert info.value.magnitude == 0.0
+    assert "factor 2 relative determinant 0.000e+00" in str(info.value)
+
+
 def test_two_zero_singular_threshold(rng, monkeypatch):
     cf, fp = rotated_case(rng, [("a", 0), ("b", 0)])
     monkeypatch.setattr(recover, "MIN_DET", 1e6)
