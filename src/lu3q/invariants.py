@@ -173,16 +173,6 @@ def _evaluate(tag, family, ctx, *args):
     return Fingerprint(tag, names, np.concatenate(values))
 
 
-def _q_cofactor_grid(ctx, q, contract, operands):
-    """The 3x3 grid of cof_q . einsum(contract, Q, *operands(r, s)) over r, s.
-
-    One einsum per entry: each entry keeps its own contraction, where one
-    batched einsum could sum in another order.
-    """
-    return np.array([[float(ctx.cof[q] @ np.einsum(contract, ctx.b.Q, *operands(r, s)))
-                      for s in _R3] for r in _R3])
-
-
 def _axes(*qubits):
     return "".join("ijk"[q] for q in qubits)
 
@@ -222,9 +212,11 @@ def _extras_blocks(ctx, q):
     o1, o2 = _PAIRS[2 - q]
     for o in (o1, o2):
         yield functools.partial(extra_name, q, o), np.array([_chain(ctx, (q, o), r) for r in _R3])
-    contract = f"ijk,{_axes(o1)},{_axes(o2)}->{_axes(q)}"
-    yield functools.partial(extra_q_name, q), _q_cofactor_grid(
-        ctx, q, contract, lambda r, s: (ctx.V[o1][:, r - 1], ctx.V[o2][:, s - 1]))
+    # [r, s] = Q contracted with G^{r-1} v_o1 and G^{s-1} v_o2.  Row-major operands and
+    # np.dot keep the bits the tests pin: strided columns or grid @ cof sum in another order
+    grid = np.einsum(f"ijk,r{_axes(o1)},s{_axes(o2)}->rs{_axes(q)}", ctx.b.Q,
+                     ctx.V[o1].T.copy(), ctx.V[o2].T.copy())
+    yield functools.partial(extra_q_name, q), np.dot(grid, ctx.cof[q])
 
 
 def _squared_blocks(ctx):
@@ -252,10 +244,9 @@ def _sign_blocks(ctx):
         yield functools.partial(sign_name, path), np.array([_chain(ctx, path, r) for r in _R3])
     for q in (0, 1):
         o = 1 - q
-        contract = f"ijk,{_axes(o, 2)}->{_axes(q)}"
-        left = [p @ ctx.C[o, 2] for p in P[o]]   # [r-1] = G_o^{r-1} C_o2, shared by every s
-        yield functools.partial(sign_q_name, q), _q_cofactor_grid(
-            ctx, q, contract, lambda r, s: (left[r - 1] @ P[2][s - 1],))
+        m = (P[o] @ ctx.C[o, 2])[:, None] @ P[2]   # [r, s] = G_o^{r-1} C_o2 Z^{s-1}
+        grid = np.einsum(f"ijk,rs{_axes(o, 2)}->rs{_axes(q)}", ctx.b.Q, m)
+        yield functools.partial(sign_q_name, q), np.dot(grid, ctx.cof[q])
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,9 +64,9 @@ _SHAPES = {name: np.empty((4, 4, 4))[block].shape for name, block in _LAYOUT.ite
 _ENDS = np.cumsum([np.prod(shape) for shape in _SHAPES.values()]).tolist()
 _SPANS = [(slice(s, e), shape) for s, e, shape in zip([0] + _ENDS, _ENDS, _SHAPES.values())]
 
-# All 64 Pauli strings, indexed [i, j, k, :, :] with i, j, k in 0..3.
-_STRINGS = np.array([np.kron(np.kron(PAULI[i], PAULI[j]), PAULI[k])
-                     for i, j, k in np.ndindex(4, 4, 4)]).reshape(4, 4, 4, 8, 8)
+# All 64 Pauli strings, indexed [i, j, k, :, :] with i, j, k in 0..3.  np.kron of
+# stacks works blockwise on every axis, so [i, j, k] is kron(kron(s_i, s_j), s_k).
+_STRINGS = np.kron(np.kron(PAULI[:, None, None], PAULI[None, :, None]), PAULI[None, None, :])
 
 
 def pauli_string(i, j, k):

@@ -300,15 +300,15 @@ def _row_group(label, keys, P):
     return SignGroup(label, {k: float(v) for k, v in zip(keys, vals)}, False)
 
 
-def _resolve_linear_sign(fr, sgn_known, t_unit, names):
+def _resolve_linear_sign(fr, sgn_known, sgn_unit, names):
     """Best sign estimate from invariants linear in the unknown block.
 
-    sgn_known holds the sign-resolution values of the known part.  Returns
-    (value, resolved): value solves measured = known + value*unit using the
-    first of the equations with the largest unit contribution.
+    sgn_known and sgn_unit hold the sign-resolution values of the known part and
+    of it plus the unit block.  Returns (value, resolved): value solves measured =
+    known + value*unit using the first equation with the largest unit contribution.
     """
     measured = fr.measured(sgn_known, names, "sign resolution")
-    contrib = sign_resolution(t_unit, fr.grams).take(names) - sgn_known.take(names)
+    contrib = sgn_unit.take(names) - sgn_known.take(names)
     i = int(np.abs(contrib).argmax())
     if abs(contrib[i]) <= SIGN_DEN_TOL:
         return 0.0, False
@@ -346,18 +346,22 @@ def _recover_diff(fr):
         coupling = SignGroup(ckey, {ckey: c_mag}, bool(c2 <= ZERO_SQUARE))
         return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], notes)
 
-    sgn_known = sign_resolution(t_known, fr.grams)
+    vals = list(fiber.components.values())
+    if c2 > ZERO_SQUARE or not fiber.resolved:
+        # one tensor holds both unit blocks: the coupling's entries read R and never Q,
+        # the fiber's read Q and never R, and the Grams are pinned
+        sgn_known = sign_resolution(t_known, fr.grams)
+        sgn_unit = sign_resolution(fr.known(mask, [1.0, *vals]), fr.grams)
     if c2 <= ZERO_SQUARE:
         coupling = SignGroup(ckey, {ckey: 0.0}, True)
     else:
         val, ok = _resolve_linear_sign(
-            fr, sgn_known, fr.known(mask, [1.0, 0.0, 0.0, 0.0]),
+            fr, sgn_known, sgn_unit,
             [sign_name(path, r) for path in ((0, 1, 2), (1, 0, 2)) for r in _R3])
         coupling = SignGroup(ckey, {ckey: np.copysign(c_mag, val) if ok else c_mag}, ok)
     if not fiber.resolved:
-        vals = list(fiber.components.values())
         sigma, ok = _resolve_linear_sign(
-            fr, sgn_known, fr.known(mask, [0.0, *vals]),
+            fr, sgn_known, sgn_unit,
             [sign_q_name(v, r, s) for v in (0, 1) for r in _R3 for s in _R3])
         sign = np.copysign(1.0, sigma) if ok else 1.0
         fiber = SignGroup(fiber.label, {k: float(sign * x) for k, x in zip(keys, vals)}, ok)

@@ -46,13 +46,7 @@ def adjoint(u):
     Satisfies adjoint(u @ v) = adjoint(u) @ adjoint(v) and adjoint(-u) = adjoint(u).
     """
     u = _check_special(u, 2, complex, NotSpecialUnitaryError, "unitarity")
-    udag = u.conj().T
-    out = np.empty((3, 3))
-    for i in range(3):
-        rotated = u @ PAULI[i + 1] @ udag
-        for j in range(3):
-            out[j, i] = 0.5 * np.einsum("ab,ba->", PAULI[j + 1], rotated).real
-    return out
+    return 0.5 * np.einsum("jab,iba->ji", PAULI[1:], u @ PAULI[1:] @ u.conj().T).real
 
 
 def haar_su2(rng):

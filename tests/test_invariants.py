@@ -1,12 +1,14 @@
 """Invariant families: enumeration freeze, oracles, rotation invariance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from lu3q import (Fingerprint, LocalRotation, act, all_invariants,
+from lu3q import (BlochTensor, Fingerprint, LocalRotation, act, all_invariants,
                   first_mismatch, generic_fingerprint, gram, q_trilinear,
                   q_trilinear_flat, sign_resolution, single_zero_extras,
-                  squared_family)
+                  squared_family, triple_cofactor)
 from conftest import physical_bloch, random_bloch, zeroed_tensor
 
 
@@ -177,6 +179,55 @@ def test_sign_entries_shared_with_extras_are_bit_identical(rng):
             for sign, extra in shared:
                 assert every[sign] == every[extra], (sign, extra)
                 assert sg[sign] == ex[extra], (sign, extra, grams is None)
+
+
+def per_entry_q_cofactor_grids(b):
+    """The extras-Q and sign-Q grids with one contraction per entry, by name.
+
+    Each entry is cof_q . einsum(contract, Q, ...), as the package first
+    computed it, with the Gram powers, power-weighted vectors and cofactors
+    formed as the package forms them.
+    """
+    eye = np.eye(3)
+    P = [np.array([eye, g, g @ g]) for g in gram(b.Q)]
+    V = [np.stack([p @ v for p in powers], axis=1)
+         for powers, v in zip(P, (b.alpha, b.beta, b.gamma))]
+    cof = [triple_cofactor(v[:, 0], v[:, 1]) for v in V]
+    vec, ax, out = "abg", "ijk", {}
+    for q, (o1, o2) in enumerate(((1, 2), (0, 2), (0, 1))):
+        contract = f"ijk,{ax[o1]},{ax[o2]}->{ax[q]}"
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                out[f"tri:{vec[q]},Q{vec[o1]}{vec[o2]}:r={r},s={s}"] = float(
+                    cof[q] @ np.einsum(contract, b.Q, V[o1][:, r - 1], V[o2][:, s - 1]))
+    for q, label in ((0, "aQT"), (1, "bQS")):
+        o = 1 - q
+        contract = f"ijk,{ax[o]}k->{ax[q]}"
+        left = [p @ (b.T if q == 0 else b.S) for p in P[o]]
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                out[f"sgn:{label}:r={r},s={s}"] = float(
+                    cof[q] @ np.einsum(contract, b.Q, left[r - 1] @ P[2][s - 1]))
+    return out
+
+
+def test_q_cofactor_grids_bit_identical_to_per_entry_reference(rng):
+    """The batched grids give every entry of the per-entry contraction, bit for bit.
+
+    Physical states, and every two-zero pattern rotated at three scales,
+    including the entries that vanish on the orbit and carry only rounding.
+    """
+    slots = [(v, i) for v in "abg" for i in range(3)]
+    tensors = [physical_bloch(rng) for _ in range(20)]
+    for pair in itertools.combinations(slots, 2):
+        b = act(zeroed_tensor(rng, pair), LocalRotation.random(rng))
+        tensors += [BlochTensor.from_components(scale * b.components())
+                    for scale in (0.08, 1.0, 3.0)]
+    assert len(tensors) == 20 + 36 * 3
+    for b in tensors:
+        ref = per_entry_q_cofactor_grids(b)
+        got = all_invariants(b).take(list(ref))
+        assert np.array_equal(got, np.array(list(ref.values()))), list(ref)
 
 
 def test_extras_closed_form_at_canonical_point(rng):

@@ -9,7 +9,7 @@ from lu3q import (BlochTensor, FormatError, NotHermitianError,
                   TraceNotOneError, bloch_from_dict, bloch_to_dict, decompose,
                   density_from_dict, density_to_dict, ghz_state, pauli_string,
                   reconstruct, validate_density)
-from lu3q.pauli import component_key
+from lu3q.pauli import PAULI, _STRINGS, component_key
 from conftest import random_bloch, random_density
 
 # oracle: independent Pauli matrices and kron-loop strings
@@ -38,6 +38,15 @@ def test_pauli_strings_match_oracle():
         for j in range(4):
             for k in range(4):
                 assert np.max(np.abs(pauli_string(i, j, k) - oracle_string(i, j, k))) == 0.0
+
+
+def test_pauli_table_bit_identical_to_per_entry_reference():
+    """The string table is the Kronecker products of the package's Pauli matrices,
+    byte for byte: the signs of the zeros as well as the values."""
+    ref = np.array([np.kron(np.kron(PAULI[i], PAULI[j]), PAULI[k])
+                    for i, j, k in np.ndindex(4, 4, 4)]).reshape(4, 4, 4, 8, 8)
+    assert np.array_equal(_STRINGS, ref)
+    assert _STRINGS.tobytes() == ref.tobytes()
 
 
 def test_pauli_string_index_validation():

@@ -177,13 +177,17 @@ def test_two_zero_diff_named_values():
     assert np.max(np.abs(np.array(got) - [0.2, 0.0, -0.1])) < 1e-7
 
 
-def test_two_zero_diff_all_zero_block():
-    b = synthetic_diff_tensor(0.0, np.array([0.0, 0.0, 0.0]))
+def all_zero_block_tensor():
+    """Two-zero (a3, b3) tensor whose coupling entry and fiber are both zero."""
     Q = np.zeros((3, 3, 3))
     Q[0, 0, 0] = 0.4
     Q[1, 1, 1] = 0.3
     Q[0, 1, 2] = 0.15
-    b = dataclasses.replace(b, Q=Q)
+    return dataclasses.replace(synthetic_diff_tensor(0.0, np.array([0.0, 0.0, 0.0])), Q=Q)
+
+
+def test_two_zero_diff_all_zero_block():
+    b = all_zero_block_tensor()
     cf = canonicalize(b)
     assert cf.orbit_class.tag == "two-zero-diff:a3,b3"
     rec = recover_two_zero(full_fingerprint(b, cf.orbit_class), cf)
@@ -193,6 +197,27 @@ def test_two_zero_diff_all_zero_block():
         assert g.resolved
         for value in g.components.values():
             assert value == 0.0
+
+
+def test_two_zero_diff_one_sign_evaluation_serves_both_signs(monkeypatch):
+    """With both signs of an (a, b) state open, the known part and one tensor holding
+    both unit blocks are evaluated; with none open, no sign entry is."""
+    open_b = synthetic_diff_tensor(-0.4, np.array([0.2, 0.0, -0.1]))
+    cases = []
+    for b in (open_b, all_zero_block_tensor()):
+        cf = canonicalize(b)
+        fp = full_fingerprint(b, cf.orbit_class)
+        cases.append((cf, fp, recover_two_zero(fp, cf)))
+    calls = []
+    real = recover.sign_resolution
+    monkeypatch.setattr(recover, "sign_resolution",
+                        lambda t, grams=None: calls.append(t) or real(t, grams))
+    for (cf, fp, expected), count in zip(cases, (2, 0)):
+        calls.clear()
+        rec = recover_two_zero(fp, cf)
+        assert len(calls) == count
+        assert rec == expected
+    assert all(g.resolved for g in cases[0][2].groups)
 
 
 def assert_recovers_canonical(rec, t, tol=1e-7):

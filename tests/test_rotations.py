@@ -8,6 +8,7 @@ import pytest
 from lu3q import (BlochTensor, LocalRotation, NotRotationError,
                   NotSpecialUnitaryError, act, adjoint, conjugate, decompose,
                   haar_su2, reconstruct)
+from lu3q.pauli import PAULI
 from conftest import physical_bloch, random_bloch, random_density
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,6 +60,24 @@ def test_adjoint_rejects_non_unitary():
 def test_adjoint_rejects_wrong_shape():
     with pytest.raises(NotSpecialUnitaryError, match="2x2"):
         adjoint(np.eye(3))
+
+
+def per_entry_adjoint(u):
+    """adjoint with one einsum per entry: O[j, i] = (1/2) Re tr(s_j u s_i u+)."""
+    udag = u.conj().T
+    out = np.empty((3, 3))
+    for i in range(3):
+        rotated = u @ PAULI[i + 1] @ udag
+        for j in range(3):
+            out[j, i] = 0.5 * np.einsum("ab,ba->", PAULI[j + 1], rotated).real
+    return out
+
+
+def test_adjoint_bit_identical_to_per_entry_reference(rng):
+    units = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
+    units += [haar_su2(rng) for _ in range(2000)]
+    for u in units:
+        assert np.array_equal(adjoint(u), per_entry_adjoint(u)), u
 
 
 def test_haar_su2_is_special_unitary(rng):
