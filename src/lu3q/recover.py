@@ -7,7 +7,8 @@ zeros in (alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  Each
 solver below is written once, for that alpha (or alpha-beta) case.  Every
 Vandermonde system is built and solved by _Frame.grid_solve, which names
 its grid through invariants.grid_names as the families do; only the
-row-product systems of _row_product_matrix are not.  Frame qubit n is
+line-product systems of _line_products are not.  Each distinct system is
+solved once, against all the right-hand sides that share it.  Frame qubit n is
 qubit perm[n] of the canonical tensor.  Invariant names are built from
 canonical qubit indices by the builders of the invariants module, and
 recovered entries are keyed by their Pauli index (i, j, k) through
@@ -139,17 +140,22 @@ class _Frame:
         """Solve values(r, s, ...) = (lams[0] x lams[1] x ...) M for M.
 
         Axis a of M and argument a of name belong to frame qubit qubits[a].
+        A name that returns a list of names gives M a last axis, one column
+        per name: the columns share the system and are solved together.
         The system is built with its axes in canonical qubit order, so every
         relabeling of a pattern solves the same system: these Kronecker
         systems are ill-conditioned enough that another row order moves the
         solution by up to 1e-10 relative.
         """
-        shape = (3,) * len(qubits)
-        order = sorted(range(len(qubits)), key=lambda a: self.perm[qubits[a]])
-        names = np.array(grid_names(name, len(shape)), dtype=object).reshape(shape)
-        d = self.measured(known, names.transpose(order).ravel(), what)
+        n = len(qubits)
+        order = sorted(range(n), key=lambda a: self.perm[qubits[a]])
+        names = np.array(grid_names(name, n), dtype=object)
+        cols = names.shape[1:]
+        axes = [*order, *range(n, n + len(cols))]
+        names = names.reshape((3,) * n + cols).transpose(axes).reshape(names.shape)
+        d = self.measured(known, names.ravel(), what).reshape(names.shape)
         sol = _checked_solve([lams[a] for a in order], d, what)
-        return sol.reshape(shape).transpose(np.argsort(order))
+        return sol.reshape((3,) * n + cols).transpose(np.argsort(axes))
 
 
 def _row_mask(slots):
@@ -270,20 +276,20 @@ class TwoZeroRecovery:
     notes: list
 
 
-def _row_product_matrix(row_squares, w2_row, spec, weights, what):
-    """Product matrix P_jk = x_j x_k of one row x from its squares and squared sums.
+def _line_products(squares, sums, spec, weights, what):
+    """Product matrices P[n]_jk = x_j x_k of lines x = x[n] from their squares and squared sums.
 
-    The squared sums obey w2_row[tau] = sum_jk (spec_j spec_k)^tau w_j w_k P_jk,
-    so the off-diagonal products follow from a Vandermonde-like solve.
+    The squared sums obey sums[n, tau] = sum_jk (spec_j spec_k)^tau w_j w_k P[n]_jk,
+    so the off-diagonal products of every line follow from one Vandermonde-like solve.
     """
-    diag = np.array([float(np.sum(row_squares * (spec ** 2) ** tau * weights ** 2))
-                     for tau in range(3)])
+    diag = np.stack([np.sum(squares * (spec ** 2) ** tau * weights ** 2, axis=-1)
+                     for tau in range(3)], axis=-1)
     B = np.array([[2.0 * (spec[j] * spec[k]) ** tau * weights[j] * weights[k]
                    for (j, k) in _PAIRS] for tau in range(3)])
-    offdiag = _checked_solve((B,), w2_row - diag, what)
-    P = np.diag(row_squares)
-    for (j, k), val in zip(_PAIRS, offdiag):
-        P[j, k] = P[k, j] = val
+    offdiag = _checked_solve((B,), (sums - diag).T, what).T
+    P = squares[:, :, None] * np.eye(3)
+    j, k = zip(*_PAIRS)
+    P[:, j, k] = P[:, k, j] = offdiag
     return P
 
 
@@ -332,7 +338,7 @@ def _recover_diff(fr):
                                     [_power_matrix(spec)], "fiber square system"), "Q fiber")
     m = fr.measured(sq_known, [slab_square_name(P[2], n, P[0], 1, P[1], 1) for n in _R3],
                     "fiber products")
-    prod = _row_product_matrix(fiber_sq, m, spec, weights, "fiber product system")
+    prod = _line_products(fiber_sq[None], m[None], spec, weights, "fiber product system")[0]
 
     keys = [fr.key((p, q, k)) for k in _R3]
     fiber = _row_group(fr.key((p, q, ":")), keys, prod)
@@ -416,64 +422,53 @@ def _slab_sign_groups(slab_label, magnitudes, edges, key):
 def _recover_same(fr):
     """Zeros at two frame slots of vector 0: those rows of R and S and slabs of Q."""
     P = fr.perm
-    spec, vec = fr.spectra, fr.vectors
-    lam = [_power_matrix(x) for x in spec]
-    lam4 = [_power_matrix(x ** 2) for x in spec]
+    lam = [_power_matrix(x) for x in fr.spectra]
+    lam4 = [_power_matrix(x ** 2) for x in fr.spectra]
     sq_known = squared_family(fr.known(_row_mask(fr.slots)), fr.grams)
 
     def solve(name, qubits, what, lams=lam4):
-        return fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what)
+        """The rows of the zero slots: the others solve to rounding around the exact zero
+        their known part leaves, so they are neither checked nor used."""
+        sol = fr.grid_solve(sq_known, name, qubits, [lams[q] for q in qubits], what)
+        return sol[np.array(fr.slots) - 1]
 
-    def coupling_squares(a, b):
-        """Squares of the frame coupling of qubits a < b, indexed [row on a, column on b]."""
-        letter = fr.key(tuple(":" if n in (a, b) else 0 for n in range(3)))[0]
-        sq = solve(lambda r, s: coupling_square_name(P[a], P[b], r, s), (a, b),
-                   f"{letter} squares", lam)
-        return _clamp(sq, letter)
+    def coupling_squares(o):
+        """Squares of the frame coupling of qubits 0 and o, indexed [row, column]."""
+        letter = fr.key(tuple(":" if n in (0, o) else 0 for n in range(3)))[0]
+        return _clamp(solve(lambda r, s: coupling_square_name(P[0], P[o], r, s), (0, o),
+                            f"{letter} squares", lam), letter)
 
-    def row_sums(o):
-        """Squared sums along each row of the frame coupling (0, o), indexed [row, s]."""
-        return np.stack([solve(lambda r: vector_square_name(P[0], P[o], r, s), (0,),
-                               "row sums") for s in _R3], axis=1)
-
-    def slab_sums(q, o):
-        """Squared sums along the qubit-o lines of the slabs, indexed [row, line on q, t]."""
-        return np.stack([solve(lambda r, s: slab_square_name(P[o], t, P[0], r, P[q], s),
-                               (0, q), "Q line sums") for t in _R3], axis=2)
-
-    C1, C2 = coupling_squares(0, 1), coupling_squares(0, 2)
-    W1, W2 = row_sums(1), row_sums(2)
+    C = [coupling_squares(o) for o in (1, 2)]
+    # squared sums along each row of the frame coupling (0, o), indexed [row, s]
+    W = [solve(lambda r: [vector_square_name(P[0], P[o], r, s) for s in _R3], (0,), "row sums")
+         for o in (1, 2)]
     Q2 = _clamp(solve(lambda r, s, t: q_square_name(*fr.orig((r, s, t))), (0, 1, 2),
                       "Q squares", lam), "Q")
-    U1, U2 = slab_sums(2, 1), slab_sums(1, 2)
+    # squared sums along the qubit-o lines of the slabs, indexed [row, line on the other qubit, t]
+    U = [solve(lambda r, s: [slab_square_name(P[o], t, P[0], r, P[3 - o], s) for t in _R3],
+               (0, 3 - o), "Q line sums") for o in (1, 2)]
+    # one product system per qubit n + 1: its two coupling rows, then its slab lines [row, line]
+    lines = (Q2.transpose(0, 2, 1), Q2)
+    lp1, lp2 = (_line_products(np.concatenate([C[n], lines[n].reshape(6, 3)]),
+                               np.concatenate([W[n], U[n].reshape(6, 3)]),
+                               fr.spectra[n + 1], fr.vectors[n + 1], "row products")
+                for n in range(2))
 
     squares = {}
     groups = []
     notes = ["per-row and per-slab sign freedoms are independent; the implemented "
              "invariant set does not couple them"]
-    for x in fr.slots:
-        i = x - 1
+    for i, x in enumerate(fr.slots):
         for j in range(3):
-            squares[f"{fr.key((x, j + 1, 0))}^2"] = float(C1[i, j])
-            squares[f"{fr.key((x, 0, j + 1))}^2"] = float(C2[i, j])
+            squares[f"{fr.key((x, j + 1, 0))}^2"] = float(C[0][i, j])
+            squares[f"{fr.key((x, 0, j + 1))}^2"] = float(C[1][i, j])
             for k in range(3):
                 squares[f"{fr.key((x, j + 1, k + 1))}^2"] = float(Q2[i, j, k])
-        groups.append(_row_group(
-            fr.key((x, ":", 0)), [fr.key((x, j, 0)) for j in _R3],
-            _row_product_matrix(C1[i], W1[i], spec[1], vec[1], "row products")))
-        groups.append(_row_group(
-            fr.key((x, 0, ":")), [fr.key((x, 0, k)) for k in _R3],
-            _row_product_matrix(C2[i], W2[i], spec[2], vec[2], "row products")))
-        edges = {}
-        for k in range(3):
-            prod = _row_product_matrix(Q2[i, :, k], U1[i, k], spec[1], vec[1],
-                                       "Q in-column products")
-            for (j, jp) in _PAIRS:
-                edges[((j, k), (jp, k))] = prod[j, jp]
-        for j in range(3):
-            prod = _row_product_matrix(Q2[i, j], U2[i, j], spec[2], vec[2], "Q in-row products")
-            for (k, kp) in _PAIRS:
-                edges[((j, k), (j, kp))] = prod[k, kp]
+        groups.append(_row_group(fr.key((x, ":", 0)), [fr.key((x, j, 0)) for j in _R3], lp1[i]))
+        groups.append(_row_group(fr.key((x, 0, ":")), [fr.key((x, 0, k)) for k in _R3], lp2[i]))
+        cols, rows = lp1[2 + 3 * i:5 + 3 * i], lp2[2 + 3 * i:5 + 3 * i]   # [k][j, j'], [j][k, k']
+        edges = {((j, k), (jp, k)): cols[k, j, jp] for k in range(3) for j, jp in _PAIRS}
+        edges.update({((j, k), (j, kp)): rows[j, k, kp] for j in range(3) for k, kp in _PAIRS})
         groups.extend(_slab_sign_groups(fr.key((x, ":", ":")), np.sqrt(Q2[i]), edges,
                                         lambda u, v: fr.key((x, u + 1, v + 1))))
     return TwoZeroRecovery("same-vector", squares, groups, notes)
