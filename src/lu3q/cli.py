@@ -130,11 +130,10 @@ def _tolerances(args):
 
 
 def _cmd_decompose(args):
-    kind, val = serialize.load_input(args.input)
-    if kind != "density":
+    rho, _ = _load_state(args.input)
+    if rho is None:
         raise FormatError("decompose expects a density-matrix JSON input")
-    _warn_positivity(val)
-    _write_out(serialize.bloch_to_json(decompose(val)), args.out)
+    _write_out(serialize.bloch_to_json(decompose(rho)), args.out)
     return 0
 
 

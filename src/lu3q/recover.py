@@ -1,18 +1,19 @@
 """Recover tensor components from invariant values at a canonical point.
 
-Every zero pattern is solved in one frame.  BlochTensor.permute relabels the
-qubits so that the qubits holding the zeros come first and the others follow
-in ascending order: a zero in beta or gamma becomes a zero in alpha, and
-zeros in (alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  Each
-solver below is written once, for that alpha (or alpha-beta) case.  Every
-Vandermonde system is built and solved by _Frame.grid_solve, which names
-its grid through invariants.grid_names as the families do; only the
-line-product systems of _line_products are not.  Each distinct system is
-solved once, against all the right-hand sides that share it.  Frame qubit n is
-qubit perm[n] of the canonical tensor.  Invariant names are built from
-canonical qubit indices by the builders of the invariants module, and
-recovered entries are keyed by their Pauli index (i, j, k) through
-pauli.component_key, so mapping a frame quantity back is a tuple permutation.
+Every zero pattern is solved in one frame.  The frame relabels the qubits so
+that the qubits holding the zeros come first and the others follow in
+ascending order: a zero in beta or gamma becomes a zero in alpha, and zeros in
+(alpha, gamma) or (beta, gamma) become zeros in (alpha, beta).  It relabels
+indices only and holds no permuted copy of the tensor.  Each solver below is
+written once, for that alpha (or alpha-beta) case.  Every Vandermonde system
+is built and solved by _Frame.grid_solve, which names its grid through
+invariants.grid_names as the families do; only the line-product systems of
+_line_products are not.  Each distinct system is solved once, against all the
+right-hand sides that share it.  Frame qubit n is qubit perm[n] of the
+canonical tensor.  Invariant names are built from canonical qubit indices by
+the builders of the invariants module, and recovered entries are keyed by
+their Pauli index (i, j, k) through pauli.component_key, so mapping a frame
+quantity back is a tuple permutation.
 
 A single zero in alpha at slot p leaves row p of R and S and the slab
 Q[p,:,:] undetermined by the generic invariants; the extra triple-product
@@ -47,8 +48,8 @@ import numpy as np
 
 from .errors import (InconsistentInvariantsError, SingularSystemError,
                      WrongClassError)
-from .invariants import (_PAIRS, _R3, _VEC_NAMES, Fingerprint, coupling_square_name,
-                         extra_name, extra_q_name, grid_names, q_square_name, sign_name,
+from .invariants import (_PAIRS, _R3, _VEC_NAMES, coupling_square_name, extra_name,
+                         extra_q_name, grid_names, q_square_name, sign_name,
                          sign_q_name, sign_resolution, single_zero_extras,
                          slab_square_name, squared_family, vector_square_name)
 from .pauli import _coefficients, _from_coefficients, component_key
@@ -104,17 +105,16 @@ def _clamp(squares, what):
 
 
 class _Frame:
-    """A canonical form and its fingerprint, seen with the zero qubits first."""
+    """A canonical form and its fingerprint (read only by measured), zero qubits first."""
 
     def __init__(self, cf, fp):
         cls = cf.orbit_class
         # zero qubits first, in order, then the other qubits ascending
         self.perm = tuple(dict.fromkeys([*(_VEC_NAMES.index(v) for v, _ in cls.slots), 0, 1, 2]))
-        self.inverse = tuple(self.perm.index(n) for n in range(3))
         # a per-qubit tuple (Pauli index or powers) from frame to canonical qubit order
-        self.orig = operator.itemgetter(*self.inverse)
-        self.tensor = cf.tensor.permute(self.perm)
-        self.vectors = (self.tensor.alpha, self.tensor.beta, self.tensor.gamma)
+        self.orig = operator.itemgetter(*map(self.perm.index, range(3)))
+        t = self.tensor = cf.tensor
+        self.vectors = operator.itemgetter(*self.perm)((t.alpha, t.beta, t.gamma))
         self.spectra = [np.array(cls.spectra[q]) for q in self.perm]
         self.slots = [s for _, s in cls.slots]   # Pauli indices on frame qubits 0 (and 1)
         self.grams = tuple(np.diag(np.array(s, dtype=float)) for s in cls.spectra)
@@ -126,8 +126,8 @@ class _Frame:
     def known(self, mask, values=0.0):
         """Canonical tensor with the frame coefficients under mask set to values."""
         vals = _coefficients(self.tensor)
-        vals[mask] = values
-        return _from_coefficients(np.ascontiguousarray(vals.transpose(self.inverse)))
+        vals.transpose(self.perm)[mask] = values
+        return _from_coefficients(vals)
 
     def measured(self, known, names, what):
         """Fingerprint values of names less their values in the Fingerprint known."""
@@ -199,7 +199,7 @@ def _single_zero_frame(cf, fp):
 
 def vandermonde_system(cf):
     """The Vandermonde pair of a single-zero canonical form (reads no fingerprint value)."""
-    return _single_zero_frame(cf, Fingerprint(cf.orbit_class.tag))[1]
+    return _single_zero_frame(cf, None)[1]
 
 
 @dataclass
@@ -374,21 +374,16 @@ def _recover_diff(fr):
     return TwoZeroRecovery("different-vectors", squares, [coupling, fiber], [])
 
 
-def _slab_sign_groups(slab_label, magnitudes, edges, key):
-    """Connected sign components of a 3x3 slab from in-row/in-column products.
+def _slab_sign_groups(slab_label, magnitudes, cols, rows, key):
+    """Connected sign components of a 3x3 slab from in-column/in-row products.
 
-    magnitudes: 3x3 non-negative entry magnitudes; edges: dict mapping node
-    pairs ((u,v),(u',v')) to product values; key(u, v): component key of a
-    node.  Nodes whose squared magnitude is at or below ZERO_SQUARE are
-    collected into one resolved zero group.
+    magnitudes: 3x3 non-negative entry magnitudes; cols[v][u, u'] and
+    rows[u][v, v']: symmetric product matrices of column v and row u; key(u, v):
+    component key of a node.  Nodes whose squared magnitude is at or below
+    ZERO_SQUARE are collected into one resolved zero group.
     """
     nodes = [(u, v) for u in range(3) for v in range(3)]
     live = {n for n in nodes if magnitudes[n] ** 2 > ZERO_SQUARE}
-    adj = {n: [] for n in live}
-    for (n1, n2), prod in edges.items():
-        if n1 in live and n2 in live and abs(prod) > ZERO_SQUARE:
-            adj[n1].append((n2, prod))
-            adj[n2].append((n1, prod))
     groups = []
     seen = set()
     comp_idx = 0
@@ -400,8 +395,11 @@ def _slab_sign_groups(slab_label, magnitudes, edges, key):
         queue = [start]
         seen.add(start)
         while queue:
-            cur = queue.pop()
-            for nxt, prod in adj[cur]:
+            u, v = cur = queue.pop()
+            for nxt, prod in [*(((w, v), cols[v, u, w]) for w in range(3) if w != u),
+                              *(((u, w), rows[u, v, w]) for w in range(3) if w != v)]:
+                if nxt not in live or abs(prod) <= ZERO_SQUARE:
+                    continue
                 want = np.copysign(1.0, prod) * sign[cur]
                 if nxt in sign:
                     if sign[nxt] != want:
@@ -466,10 +464,9 @@ def _recover_same(fr):
                 squares[f"{fr.key((x, j + 1, k + 1))}^2"] = float(Q2[i, j, k])
         groups.append(_row_group(fr.key((x, ":", 0)), [fr.key((x, j, 0)) for j in _R3], lp1[i]))
         groups.append(_row_group(fr.key((x, 0, ":")), [fr.key((x, 0, k)) for k in _R3], lp2[i]))
-        cols, rows = lp1[2 + 3 * i:5 + 3 * i], lp2[2 + 3 * i:5 + 3 * i]   # [k][j, j'], [j][k, k']
-        edges = {((j, k), (jp, k)): cols[k, j, jp] for k in range(3) for j, jp in _PAIRS}
-        edges.update({((j, k), (j, kp)): rows[j, k, kp] for j in range(3) for k, kp in _PAIRS})
-        groups.extend(_slab_sign_groups(fr.key((x, ":", ":")), np.sqrt(Q2[i]), edges,
+        # the slab's column products [k][j, j'] and row products [j][k, k']
+        groups.extend(_slab_sign_groups(fr.key((x, ":", ":")), np.sqrt(Q2[i]),
+                                        lp1[2 + 3 * i:5 + 3 * i], lp2[2 + 3 * i:5 + 3 * i],
                                         lambda u, v: fr.key((x, u + 1, v + 1))))
     return TwoZeroRecovery("same-vector", squares, groups, notes)
 

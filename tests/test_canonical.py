@@ -100,6 +100,16 @@ def test_frame_class_is_canonical_class(rng):
                      "other"}
 
 
+@pytest.mark.xfail(strict=True, reason="defect (g), ROADMAP item 1: the absolute zero_tol and "
+                   "deg_tol read the rounding noise of a rotated I/8 as structure")
+def test_rotated_maximally_mixed_state_is_degenerate():
+    rng = np.random.default_rng(3)
+    i8 = np.eye(8, dtype=complex) / 8
+    kinds = [classify(decompose(conjugate(i8, haar_su2(rng), haar_su2(rng), haar_su2(rng)))).kind
+             for _ in range(200)]
+    assert kinds == ["degenerate"] * 200
+
+
 def test_degenerate_classes_match_by_kind(rng):
     c1 = classify(decompose(ghz_state()))
     c2 = classify(decompose(np.eye(8, dtype=complex) / 8))

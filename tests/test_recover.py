@@ -1,6 +1,7 @@
 """Recovery of components hidden by zero Bloch-vector entries."""
 
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from lu3q import recover
 from lu3q import (BlochTensor, Fingerprint, InconsistentInvariantsError,
                   LocalRotation, SingularSystemError, WrongClassError, act,
-                  canonicalize, full_fingerprint, generic_fingerprint,
-                  recover_two_zero, solve_single_zero, vandermonde_system)
+                  canonicalize, conjugate, decompose, full_fingerprint, generic_fingerprint,
+                  haar_su2, reconstruct, recover_two_zero, solve_single_zero,
+                  vandermonde_system)
 from conftest import bounded_vector, canonical_q, zeroed_tensor
 
 
@@ -130,6 +132,8 @@ def test_two_zero_same_round_trip(rng):
         assert cf.orbit_class.tag == f"two-zero-same:{vec}1,{vec}3"
         rec = recover_two_zero(fp, cf)
         assert rec.case == "same-vector"
+        # no entry of either slab is zero, so each slab is one sign component
+        assert [g.label[-2:] for g in rec.groups if "#" in g.label] == ["#1", "#1"]
         for key, value in rec.squares.items():
             truth = tensor_entry(cf.tensor, key[:-2]) ** 2
             assert abs(value - truth) < 1e-6, (key, value, truth)
@@ -259,10 +263,33 @@ def test_two_zero_diff_without_couplings_leaves_fiber_sign_open(rng):
 
 def test_slab_sign_groups_rejects_contradictory_triangle():
     # the products around the triangle (1,1)-(1,2)-(1,3) multiply to a negative number
-    edges = {((0, 0), (0, 1)): 0.5, ((0, 1), (0, 2)): 0.5, ((0, 0), (0, 2)): -0.5}
+    rows = np.ones((3, 3, 3))
+    rows[0, 0, 2] = rows[0, 2, 0] = -1.0
     with pytest.raises(InconsistentInvariantsError, match="contradictory sign products"):
-        recover._slab_sign_groups("Q[1,:,:]", np.ones((3, 3)), edges,
+        recover._slab_sign_groups("Q[1,:,:]", np.ones((3, 3)), np.zeros((3, 3, 3)), rows,
                                   lambda u, v: f"Q[1,{u + 1},{v + 1}]")
+
+
+def test_two_zero_same_slab_splits_into_two_sign_components(rng):
+    """Q[1,:,:] holds one entry alone in its row and column, and two more sharing a row
+    away from it: two sign components, each recovered up to its own sign."""
+    Q = np.zeros((3, 3, 3))
+    Q[0, 0, 0], Q[0, 1, 1], Q[0, 1, 2], Q[1, 0, 2] = 0.9, 0.5, 0.4, 0.8
+    # keeps all three Grams diagonal
+    Q[2, 2, 1] = 0.3
+    Q[2, 2, 2] = -Q[0, 1, 1] * Q[0, 1, 2] / Q[2, 2, 1]
+    b = BlochTensor(np.array([0.0, 0.6, 0.0]), bounded_vector(rng), bounded_vector(rng),
+                    rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), Q)
+    cf = canonicalize(act(b, LocalRotation.random(rng)))
+    assert cf.orbit_class.tag == "two-zero-same:a1,a3"
+    rec = recover_two_zero(full_fingerprint(cf.tensor, cf.orbit_class), cf)
+    labels = [g.label for g in rec.groups]
+    assert {"Q[1,:,:]#1", "Q[1,:,:]#2", "Q[1,:,:]#zeros"} <= set(labels), labels
+    assert_recovers_canonical(rec, cf.tensor)
+    for g in rec.groups:
+        vals = np.array(list(g.components.values()))
+        truth = np.array([tensor_entry(cf.tensor, k) for k in g.components])
+        assert min(np.max(np.abs(vals - truth)), np.max(np.abs(vals + truth))) < 1e-7, g.label
 
 
 def test_two_zero_wrong_class(rng):
@@ -342,3 +369,21 @@ def test_two_zero_same_recovers_at_three_times_scale():
             cf = canonicalize(b)
             rec = recover_two_zero(full_fingerprint(b, cf.orbit_class), cf)
             assert_recovers_canonical(rec, cf.tensor, tol=1e-8 * np.linalg.norm(b.components()))
+
+
+@pytest.mark.xfail(strict=True, raises=SingularSystemError,
+                   reason="defect (a), ROADMAP item 1: the absolute MIN_DET gate rejects the "
+                   "fiber product and row sum systems of every noisy two-zero state")
+def test_two_zero_recovers_noisy_states():
+    """Each two-zero pattern mixed towards I/8 (0.3 of the way from I/8 to a positive
+    state near the edge of the positive cone), then rotated."""
+    rng = np.random.default_rng(12)
+    slots = [(v, i) for v in "abg" for i in range(3)]
+    for pattern in itertools.combinations(slots, 2):
+        d = reconstruct(zeroed_tensor(rng, pattern)) - np.eye(8) / 8
+        t = 0.99 / (8 * abs(np.linalg.eigvalsh(d)[0]))
+        b = decompose(conjugate(np.eye(8) / 8 + 0.3 * t * d,
+                                haar_su2(rng), haar_su2(rng), haar_su2(rng)))
+        cf = canonicalize(b)
+        rec = recover_two_zero(full_fingerprint(b, cf.orbit_class), cf)
+        assert_recovers_canonical(rec, cf.tensor, tol=1e-8 * np.linalg.norm(b.components()))
