@@ -76,11 +76,10 @@ class OrbitClass:
 
     @property
     def tag(self):
-        if self.kind in ("single-zero", "two-zero-diff", "two-zero-same", "other"):
+        """kind, then any zero slots or else any reason: "single-zero:a3", "degenerate:X gap 1"."""
+        if self.slots:
             return f"{self.kind}:" + ",".join(f"{v}{i}" for v, i in self.slots)
-        if self.kind == "degenerate" and self.reason:
-            return f"degenerate:{self.reason}"
-        return self.kind
+        return f"{self.kind}:{self.reason}" if self.reason else self.kind
 
     def matches(self, other):
         """Same class for comparison purposes (degenerate matches by kind)."""

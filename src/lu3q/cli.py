@@ -67,31 +67,37 @@ def build_parser():
     d = sub.add_parser("decompose", parents=[out],
                        help="expand a density matrix into its coefficient tensor")
     d.add_argument("input", help="density-matrix JSON file ('-' for stdin)")
+    d.set_defaults(handler=_cmd_decompose)
 
     f = sub.add_parser("fingerprint", parents=[classes, out],
                        help="canonical class and class-complete invariant list")
     f.add_argument("input", help="state JSON file ('-' for stdin)")
+    f.set_defaults(handler=_cmd_fingerprint)
 
     c = sub.add_parser("compare", parents=[comparison, classes, out],
                        help="decide local-unitary equivalence of two states")
     c.add_argument("input_a", help="first state JSON file")
     c.add_argument("input_b", help="second state JSON file")
+    c.set_defaults(handler=_cmd_compare)
 
     o = sub.add_parser("orbit-test", parents=[comparison, out],
                        help="verify invariance under random local unitaries")
     o.add_argument("input", help="state JSON file ('-' for stdin)")
     o.add_argument("--trials", type=int, default=100, help="number of random rotations")
     o.add_argument("--seed", type=int, default=0, help="random seed")
+    o.set_defaults(handler=_cmd_orbit_test)
 
     r = sub.add_parser("reconstruct", parents=[classes, out],
                        help="recover components left open by a nongeneric class")
     r.add_argument("input", help="state JSON file ('-' for stdin)")
+    r.set_defaults(handler=_cmd_reconstruct)
 
     e = sub.add_parser("example", parents=[out],
                        help="emit a member of the built-in example family")
     e.add_argument("--a", type=float, default=0.0, help="first diagonal Q component")
     e.add_argument("--b", type=float, default=0.0, help="second diagonal Q component")
     e.add_argument("--c", type=float, default=0.0, help="third diagonal Q component")
+    e.set_defaults(handler=_cmd_example)
     return p
 
 
@@ -232,16 +238,6 @@ def _cmd_example(args):
     return 0
 
 
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "fingerprint": _cmd_fingerprint,
-    "compare": _cmd_compare,
-    "orbit-test": _cmd_orbit_test,
-    "reconstruct": _cmd_reconstruct,
-    "example": _cmd_example,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -252,7 +248,7 @@ def main(argv=None):
         # an overflow in an accepted input surfaces as a non-finite result, which
         # each subcommand reports as one error line, so numpy need not warn on the way
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"lu3q: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -122,9 +122,9 @@ def sign_q_name(q, r, s):
 
 
 class _Ctx:
-    """Per-tensor cache: Gram powers, power-weighted vectors, couplings, per qubit, and chains.
+    """Per-tensor arrays every family reads: Gram powers, weighted vectors, cofactors, couplings.
 
-    P[q][r-1] is G_q^{r-1}, one (3, 3, 3) array per qubit that every family reads.
+    P[q][r-1] is G_q^{r-1}, one (3, 3, 3) array per qubit.
 
     When grams is given, those matrices replace the ones derived from b.Q;
     reconstruction uses this to evaluate families on a partially zeroed
@@ -140,7 +140,6 @@ class _Ctx:
         self.V = [np.stack([p @ v for p in powers], axis=1)
                   for powers, v in zip(self.P, (b.alpha, b.beta, b.gamma))]
         self.cof = [triple_cofactor(v[:, 0], v[:, 1]) for v in self.V]
-        self.chains = {}   # _chain values by (path, r)
         self.C = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
                   (1, 2): b.T, (2, 1): b.T.T}
 
@@ -195,16 +194,13 @@ def _generic_blocks(ctx):
 def _chain(ctx, path, r):
     """Cofactor of vector path[0] against the couplings along path, ending in G^{r-1} v.
 
-    Memoized on the context: the sign entries sgn:bTg and sgn:aSg are the
-    extras tri:b,Tg and tri:a,Sg, and one context serves both families.
+    The sign entries sgn:bTg and sgn:aSg are the extras tri:b,Tg and tri:a,Sg,
+    evaluated again by the same operations, so they carry the same bits.
     """
-    key = path, r
-    if key not in ctx.chains:
-        v = ctx.V[path[-1]][:, r - 1]
-        for p, q in zip(path[-2::-1], path[:0:-1]):
-            v = ctx.C[p, q] @ v
-        ctx.chains[key] = float(ctx.cof[path[0]] @ v)
-    return ctx.chains[key]
+    v = ctx.V[path[-1]][:, r - 1]
+    for p, q in zip(path[-2::-1], path[:0:-1]):
+        v = ctx.C[p, q] @ v
+    return float(ctx.cof[path[0]] @ v)
 
 
 def _extras_blocks(ctx, q):

@@ -70,10 +70,12 @@ _STRINGS = np.kron(np.kron(PAULI[:, None, None], PAULI[None, :, None]), PAULI[No
 
 
 def pauli_string(i, j, k):
-    """Return the 8x8 matrix s_i * s_j * s_k, indices 0..3 with 0 = identity."""
+    """Return the 8x8 matrix s_i * s_j * s_k, indices 0..3 with 0 = identity.
+
+    ValueError unless each index is an integer 0..3; a bool, which numpy reads as a mask, is not."""
     for idx in (i, j, k):
-        if idx not in (0, 1, 2, 3):
-            raise ValueError(f"Pauli index must be 0..3, got {idx}")
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx <= 3:
+            raise ValueError(f"Pauli index must be an integer 0..3, got {idx!r}")
     return _STRINGS[i, j, k].copy()
 
 

@@ -54,6 +54,13 @@ def test_pauli_string_index_validation():
         pauli_string(4, 0, 0)
     with pytest.raises(ValueError):
         pauli_string(0, -1, 0)
+    # a bool is an int to Python and a mask to numpy; a float is no index at all
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError):
+            pauli_string(bad, 0, 0)
+        with pytest.raises(ValueError):
+            pauli_string(0, 0, bad)
+    assert np.array_equal(pauli_string(np.int64(3), 0, 0), oracle_string(3, 0, 0))
 
 
 def test_decompose_matches_oracle(rng):
