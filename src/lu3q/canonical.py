@@ -9,23 +9,24 @@ gap at or below deg_tol (relative to the largest Gram eigenvalue) have no
 well-defined canonical point and classify as degenerate.
 
 The sign flips keep every |component|, so the class is already fixed in the
-Gram eigen-frames.  equivalent classifies there and never builds the
-rotation or the canonical tensor; it computes one Gram triple per state,
-which serves both the classification and every invariant family.
+Gram eigen-frames.  equivalent classifies there and never builds the rotation
+or the canonical tensor.  Every stage takes a leading batch axis: equivalent
+runs a pair as one stack of two, whose one Gram computation serves both
+classifications and every invariant family, and the scalar functions
+(canonicalize, classify, the fingerprints) are the stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import (_GRAM_NAMES, _VEC_NAMES, TOL_ABS, TOL_REL, Fingerprint,
-                         fingerprint_families, first_mismatch)
+from .invariants import (_GRAM_NAMES, _VEC_NAMES, TOL_ABS, TOL_REL, Fingerprint, _Ctx,
+                         _families, _is_real, first_mismatch)
 # Unused here; kept importable because bench/spans.py wraps them in this module.
 from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
-from .pauli import decompose
+from .pauli import _expand, decompose, validate_density  # noqa: F401 (decompose as above)
 from .rotations import LocalRotation, act
 from .tensor_ops import gram
 
@@ -52,7 +53,7 @@ _SIGN_CHOICES = (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The four comparison thresholds; each must be a positive finite number."""
+    """The four comparison thresholds; each must be a positive finite number, not a bool."""
 
     tol_abs: float = TOL_ABS
     tol_rel: float = TOL_REL
@@ -61,8 +62,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+            if not (_is_real(value) and np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,28 +141,19 @@ def _classify(spectra, masks, deg_tol):
     return OrbitClass("other", slots, "", spectra_t)
 
 
-class _Frame(NamedTuple):
-    """Where the Gram eigen-frames put a tensor: the proper rotations that
-    diagonalize its Grams (eigenvalues non-increasing), the rotated alpha,
-    beta, gamma, their non-zero masks and the orbit class read off them."""
-
-    rotations: tuple
-    vectors: tuple
-    masks: tuple
-    orbit_class: OrbitClass
-
-
-def _frame(b, grams, zero_tol, deg_tol):
-    """The eigen-frame of b, given its Gram triple; builds no rotated tensor."""
-    # one eigh on the stacked Grams gives the same bits as three separate calls
-    w, u = np.linalg.eigh(np.stack(grams))
-    u = u[:, :, [2, 1, 0]]
+def _frame(bs, grams, zero_tol, deg_tol):
+    """Where the Gram eigen-frames put the tensors bs, given their stacked Grams: the
+    rotations that diagonalize the Grams (eigenvalues non-increasing), the rotated
+    alpha, beta, gamma, their non-zero masks (each (N, 3, ...)) and the N classes."""
+    # one eigh on all the stacked Grams gives the same bits as separate calls
+    w, u = np.linalg.eigh(np.stack(grams, axis=1))
+    u = u[..., [2, 1, 0]]
     u[np.linalg.det(u) < 0, :, 2] *= -1.0
-    rotations = tuple(m.T for m in u)
-    vecs = tuple(g @ v for g, v in zip(rotations, (b.alpha, b.beta, b.gamma)))
+    rotations = u.swapaxes(2, 3)
+    vecs = (rotations @ np.array([(b.alpha, b.beta, b.gamma) for b in bs])[..., None])[..., 0]
     # one structural-zero test; the sign flips of canonicalize keep every |component|
-    masks = tuple(np.abs(v) > zero_tol for v in vecs)
-    return _Frame(rotations, vecs, masks, _classify(w[:, ::-1], masks, deg_tol))
+    masks = np.abs(vecs) > zero_tol
+    return rotations, vecs, masks, [_classify(s[:, ::-1], m, deg_tol) for s, m in zip(w, masks)]
 
 
 def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
@@ -173,17 +165,17 @@ def canonicalize(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     zero_tol and deg_tol are positive finite numbers.
     """
     Tolerances(zero_tol=zero_tol, deg_tol=deg_tol)
-    fr = _frame(b, gram(b.Q), zero_tol, deg_tol)
-    signs = [_lex_sign(v, m)[:, None] for v, m in zip(fr.vectors, fr.masks)]
-    rot = LocalRotation(*(d * g for d, g in zip(signs, fr.rotations)))
-    return CanonicalForm(act(b, rot), rot, fr.orbit_class)
+    rotations, vecs, masks, classes = _frame((b,), gram(b.Q[None]), zero_tol, deg_tol)
+    signs = [_lex_sign(v, m)[:, None] for v, m in zip(vecs[0], masks[0])]
+    rot = LocalRotation(*(d * g for d, g in zip(signs, rotations[0])))
+    return CanonicalForm(act(b, rot), rot, classes[0])
 
 
 def classify(b, zero_tol=ZERO_TOL, deg_tol=DEG_TOL):
     """Orbit class of a coefficient tensor, read off its Gram eigen-frames;
     the tolerances are checked as canonicalize checks them."""
     Tolerances(zero_tol=zero_tol, deg_tol=deg_tol)
-    return _frame(b, gram(b.Q), zero_tol, deg_tol).orbit_class
+    return _frame((b,), gram(b.Q[None]), zero_tol, deg_tol)[-1][0]
 
 
 # the spectrum stage: the 8 density eigenvalues, then each Gram spectrum
@@ -191,13 +183,13 @@ _SPECTRUM_NAMES = (tuple(f"spec:rho[{i}]" for i in range(8))
                    + tuple(f"spec:{name}[{i}]" for name in _GRAM_NAMES for i in range(3)))
 
 
-def _stages(rho, b, grams, spectra, orbit_class):
-    """Fingerprints that equivalent compares in turn: the generic family, the
-    density and Gram spectra, then the other families of orbit_class."""
-    families = fingerprint_families(b, orbit_class, grams)
+def _stages(rhos, ctx, classes, orbit_class):
+    """Fingerprints that equivalent compares in turn, a list per stage: the generic
+    family, the density and Gram spectra, then the other families of orbit_class."""
+    families = _families(ctx, orbit_class)
     yield next(families)
-    ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    yield Fingerprint("spectra", _SPECTRUM_NAMES, np.concatenate((ev, np.ravel(spectra))))
+    yield [Fingerprint("spectra", _SPECTRUM_NAMES, np.concatenate((e, np.ravel(c.spectra))))
+           for e, c in zip(np.linalg.eigvalsh(rhos), classes)]
     yield from families
 
 
@@ -212,17 +204,17 @@ def equivalent(rho1, rho2, tols=None):
     compared first, then the spectra, then the rest of the class
     fingerprint, or of all 339 invariants when the classes differ.
     Symmetric in its arguments.  Raises ValueError when an entry is NaN or
-    infinite before any entry differs (see first_mismatch).
+    infinite before any entry differs (see first_mismatch).  The two states
+    go through every stage as one stack.
     """
     tols = tols or Tolerances()
-    bs = (decompose(rho1), decompose(rho2))
-    grams = [gram(b.Q) for b in bs]
-    c1, c2 = (_frame(b, g, tols.zero_tol, tols.deg_tol).orbit_class for b, g in zip(bs, grams))
+    rhos = np.stack([validate_density(rho) for rho in (rho1, rho2)])
+    bs = _expand(rhos)
+    grams = gram(np.stack([b.Q for b in bs]))
+    c1, c2 = _frame(bs, grams, tols.zero_tol, tols.deg_tol)[-1]
     classes = (c1.tag, c2.tag)
     same = c1.matches(c2)
-    stages = [_stages(rho, b, g, c.spectra, c1 if same else None)
-              for rho, b, g, c in zip((rho1, rho2), bs, grams, (c1, c2))]
-    for s1, s2 in zip(*stages):
+    for s1, s2 in _stages(rhos, _Ctx(bs, grams), (c1, c2), c1 if same else None):
         diff = first_mismatch(s1, s2, tols.tol_abs, tols.tol_rel)
         if diff is not None:
             name, v1, v2 = diff

@@ -196,7 +196,7 @@ def _cmd_orbit_test(args):
         if first_mismatch(base, fp, tols.tol_abs, tols.tol_rel) is not None:
             ok = False
         # the rotated density is not checked again: its rounding grows with the entries
-        b_oracle = _expand(conjugate(rho, u1, u2, u3))
+        b_oracle = _expand(conjugate(rho, u1, u2, u3)[None])[0]
         mismatch = float(np.max(np.abs(b_oracle.components() - b_rot.components())))
         max_mismatch = max(max_mismatch, mismatch)
         if mismatch > tols.tol_abs:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,26 +123,27 @@ def sign_q_name(q, r, s):
 
 
 class _Ctx:
-    """Per-tensor arrays every family reads: Gram powers, weighted vectors, cofactors, couplings.
+    """Arrays every family reads, for a stack of N tensors: equivalent's pair, or N = 1.
+    After any qubit axis q or pair axis k comes the batch axis n: vectors[q, n]
+    is v_q, P[q, n, r-1] is G_q^{r-1}, V[q, n, :, r-1] is G_q^{r-1} v_q, cof[q, n]
+    is v_q x G_q v_q and RST[k, n], or C[p, q] (transposed for p > q), the couplings.
+    grams, when given, replaces the Grams of Q (three (3, 3) or (N, 3, 3) arrays), so
+    reconstruction can weigh a partially zeroed tensor as its canonical point."""
 
-    P[q][r-1] is G_q^{r-1}, one (3, 3, 3) array per qubit.
-
-    When grams is given, those matrices replace the ones derived from b.Q;
-    reconstruction uses this to evaluate families on a partially zeroed
-    tensor with the weights of the original canonical point.
-    """
-
-    def __init__(self, b, grams=None):
-        self.b = b
-        self.G = gram(b.Q) if grams is None else grams
-        eye = np.eye(3)
-        self.P = [np.array([eye, g, g @ g]) for g in self.G]
-        # column r-1 holds G^{r-1} v
-        self.V = [np.stack([p @ v for p in powers], axis=1)
-                  for powers, v in zip(self.P, (b.alpha, b.beta, b.gamma))]
-        self.cof = [triple_cofactor(v[:, 0], v[:, 1]) for v in self.V]
-        self.C = {(0, 1): b.R, (1, 0): b.R.T, (0, 2): b.S, (2, 0): b.S.T,
-                  (1, 2): b.T, (2, 1): b.T.T}
+    def __init__(self, bs, grams=None):
+        self.Q = np.array([b.Q for b in bs])
+        self.vectors = np.array([[getattr(b, f) for b in bs] for f in ("alpha", "beta", "gamma")])
+        self.RST = np.array([[getattr(b, f) for b in bs] for f in "RST"])
+        P = self.P = np.empty((3, len(bs), 3, 3, 3))
+        P[:, :, 0] = np.eye(3)
+        P[:, :, 1] = np.reshape(gram(self.Q) if grams is None else grams, (3, -1, 3, 3))
+        np.matmul(P[:, :, 1], P[:, :, 1], out=P[:, :, 2])
+        # one matvec per power, stored as the columns of a matrix
+        self.V = (P @ self.vectors[:, :, None, :, None])[..., 0].swapaxes(2, 3).copy()
+        self.cof = triple_cofactor(self.V[..., 0], self.V[..., 1])
+        self.C = {}
+        for (p, q), c in zip(_PAIRS, self.RST):
+            self.C[p, q], self.C[q, p] = c, c.swapaxes(1, 2)
 
 
 def grid_names(name, ndim):
@@ -155,21 +157,20 @@ _NAMES = {}
 
 
 def _evaluate(tag, family, ctx, *args):
-    """Fingerprint tagged tag of family(ctx, *args), a generator of (namer, grid) blocks.
-
-    A grid is an array of values, or one value, whose entries are named through
-    grid_names(namer, grid.ndim).  A block is named as it is yielded, because
-    a namer may close over the family's loop variables.
+    """Fingerprints tagged tag of family(ctx, *args), one per tensor of ctx: row n
+    of one (N, k) array.  family yields (namer, grid) blocks, grid an (N, ...)
+    array whose entries for one tensor are named through grid_names(namer,
+    grid.ndim - 1), as it is yielded: a namer may close over the loop variables.
     """
     names = _NAMES.get(tag)
     fresh, values = [], []
     for namer, grid in family(ctx, *args):
         if names is None:
-            fresh += grid_names(namer, np.ndim(grid))
-        values.append(np.ravel(grid))
+            fresh += grid_names(namer, grid.ndim - 1)
+        values.append(grid.reshape(len(grid), -1))
     if names is None:
         names = _NAMES[tag] = tuple(fresh)
-    return Fingerprint(tag, names, np.concatenate(values))
+    return [Fingerprint(tag, names, row) for row in np.concatenate(values, axis=1)]
 
 
 def _axes(*qubits):
@@ -177,72 +178,71 @@ def _axes(*qubits):
 
 
 def _generic_blocks(ctx):
-    b = ctx.b
-    for n, g, g2 in zip(_GRAM_NAMES, ctx.G, (p[2] for p in ctx.P)):
-        traces = np.array([np.trace(g), np.trace(g2), np.einsum("ij,ji->", g2, g)])
-        yield (lambda r: f"tr{n}^{r}"), traces
-    for vn, gn, cols, v in zip(_VEC_NAMES, _GRAM_NAMES, ctx.V, (b.alpha, b.beta, b.gamma)):
-        yield (lambda r: f"{vn}{gn}{vn}:r={r}"), v @ cols
-    for q, vn in enumerate(_VEC_NAMES):
-        yield (lambda: f"tri:{vn}"), _chain(ctx, (q,), 3)
-    for p, q in _PAIRS:
+    V, g, g2 = ctx.V, ctx.P[:, :, 1], ctx.P[:, :, 2]
+    traces = np.stack([g.trace(0, 2, 3), g2.trace(0, 2, 3), np.einsum("qnij,qnji->qn", g2, g)], -1)
+    for n, grid in zip(_GRAM_NAMES, traces):
+        yield (lambda r: f"tr{n}^{r}"), grid
+    for vn, gn, grid in zip(_VEC_NAMES, _GRAM_NAMES, (ctx.vectors[:, :, None] @ V)[:, :, 0]):
+        yield (lambda r: f"{vn}{gn}{vn}:r={r}"), grid
+    for vn, grid in zip(_VEC_NAMES, (ctx.cof[:, :, None] @ V[..., 2, None])[..., 0, 0]):
+        yield (lambda: f"tri:{vn}"), grid
+    ps, qs = map(list, zip(*_PAIRS))
+    for (p, q), grid in zip(_PAIRS, V[ps].swapaxes(2, 3) @ ctx.RST @ V[qs]):
         label = f"{_VEC_NAMES[p]}{_COUPLING[p, q]}{_VEC_NAMES[q]}"
-        yield (lambda r, s: f"{label}:r={r},s={s}"), ctx.V[p].T @ ctx.C[p, q] @ ctx.V[q]
-    yield (lambda r, s, t: f"Q:r={r},s={s},t={t}"), np.einsum("ir,js,kt,ijk->rst", *ctx.V, b.Q)
+        yield (lambda r, s: f"{label}:r={r},s={s}"), grid
+    yield (lambda r, s, t: f"Q:r={r},s={s},t={t}"), np.einsum("nir,njs,nkt,nijk->nrst", *V, ctx.Q)
 
 
-def _chain(ctx, path, r):
-    """Cofactor of vector path[0] against the couplings along path, ending in G^{r-1} v.
-
-    The sign entries sgn:bTg and sgn:aSg are the extras tri:b,Tg and tri:a,Sg,
-    evaluated again by the same operations, so they carry the same bits.
-    """
-    v = ctx.V[path[-1]][:, r - 1]
+def _chain(ctx, path):
+    """[n, r-1] = cofactor of vector path[0] against the couplings along path, ending
+    in G^{r-1} v: one matvec per link, tensor and power.  The sign entries sgn:bTg and
+    sgn:aSg are the extras tri:b,Tg and tri:a,Sg by the same operations, and bits."""
+    v = ctx.V[path[-1]].swapaxes(1, 2)[..., None]   # [n, r-1] = the column G^{r-1} v
     for p, q in zip(path[-2::-1], path[:0:-1]):
-        v = ctx.C[p, q] @ v
-    return float(ctx.cof[path[0]] @ v)
+        v = ctx.C[p, q][:, None] @ v
+    return (ctx.cof[path[0]][:, None, None] @ v)[..., 0, 0]
 
 
 def _extras_blocks(ctx, q):
     """The 15 extra invariants for a vanishing component of vector q."""
     o1, o2 = _PAIRS[2 - q]
     for o in (o1, o2):
-        yield functools.partial(extra_name, q, o), np.array([_chain(ctx, (q, o), r) for r in _R3])
+        yield functools.partial(extra_name, q, o), _chain(ctx, (q, o))
     # [r, s] = Q contracted with G^{r-1} v_o1 and G^{s-1} v_o2.  Row-major operands and
     # np.dot keep the bits the tests pin: strided columns or grid @ cof sum in another order
-    grid = np.einsum(f"ijk,r{_axes(o1)},s{_axes(o2)}->rs{_axes(q)}", ctx.b.Q,
-                     ctx.V[o1].T.copy(), ctx.V[o2].T.copy())
-    yield functools.partial(extra_q_name, q), np.dot(grid, ctx.cof[q])
+    grid = np.einsum(f"nijk,nr{_axes(o1)},ns{_axes(o2)}->nrs{_axes(q)}", ctx.Q,
+                     ctx.V[o1].swapaxes(1, 2).copy(), ctx.V[o2].swapaxes(1, 2).copy())
+    yield functools.partial(extra_q_name, q), np.array(list(map(np.dot, grid, ctx.cof[q])))
 
 
 def _squared_blocks(ctx):
-    b, C, V, P = ctx.b, ctx.C, ctx.V, ctx.P
-    for p, q in _PAIRS:
-        yield ((lambda r, s: coupling_square_name(p, q, s, r)),
-               np.einsum("ij,rjk,lk,sli->rs", C[p, q], P[q], C[p, q], P[p]))
+    V, P, RST = ctx.V, ctx.P, ctx.RST
+    ps, qs = map(list, zip(*_PAIRS))
+    couplings = np.einsum("cnij,cnrjk,cnlk,cnsli->cnrs", RST, P[qs], RST, P[ps])
+    for (p, q), grid in zip(_PAIRS, couplings):
+        yield (lambda r, s: coupling_square_name(p, q, s, r)), grid
     # one five-operand einsum: the two-zero-same Q-square solve amplifies a new summation order
-    yield q_square_name, np.einsum("ria,abc,sbe,tcf,ief->rst", P[0], b.Q, P[1], P[2], b.Q)
+    yield q_square_name, np.einsum("nria,nabc,nsbe,ntcf,nief->nrst", P[0], ctx.Q, P[1], P[2], ctx.Q)
     for pair in _PAIRS:
         for q, o in (pair, pair[::-1]):
-            w = P[q] @ (C[q, o] @ V[o])   # [r, :, s] = G_q^{r-1} C_qo G_o^{s-1} v_o
-            yield functools.partial(vector_square_name, q, o), np.einsum("ris,ris->rs", w, w)
-    for q in range(3):
+            w = P[q] @ (ctx.C[q, o] @ V[o])[:, None]   # [n, r, :, s] = G_q^{r-1} C_qo G_o^{s-1} v_o
+            yield functools.partial(vector_square_name, q, o), np.einsum("nris,nris->nrs", w, w)
+    # w[q, n, t] = Q.G_q^{t-1}v_q, m[q, n, r, s, t] = G_o1^{r-1} w_t G_o2^{s-1}, o = _PAIRS[2-q]
+    w = np.stack([np.einsum(f"nijk,n{_axes(q)}t->nt{_axes(*_PAIRS[2 - q])}", ctx.Q, V[q])
+                  for q in range(3)])
+    m = P[ps[::-1]][:, :, :, None, None] @ w[:, :, None, None] @ P[qs[::-1]][:, :, None, :, None]
+    for q, grid in enumerate(np.einsum("qnrstxy,qnrstxy->qnrst", m, m)):
         o1, o2 = _PAIRS[2 - q]
-        w = np.einsum(f"ijk,{_axes(q)}t->t{_axes(o1, o2)}", b.Q, V[q])   # [t] = Q . G_q^{t-1} v_q
-        m = P[o1][:, None, None] @ w @ P[o2][None, :, None]   # [r, s, t] = G^{r-1} w_t G^{s-1}
-        yield ((lambda r, s, t: slab_square_name(q, t, o1, r, o2, s)),
-               np.einsum("rstxy,rstxy->rst", m, m))
+        yield (lambda r, s, t: slab_square_name(q, t, o1, r, o2, s)), grid
 
 
 def _sign_blocks(ctx):
-    P = ctx.P
     for path in _SIGN_PATHS:
-        yield functools.partial(sign_name, path), np.array([_chain(ctx, path, r) for r in _R3])
-    for q in (0, 1):
-        o = 1 - q
-        m = (P[o] @ ctx.C[o, 2])[:, None] @ P[2]   # [r, s] = G_o^{r-1} C_o2 Z^{s-1}
-        grid = np.einsum(f"ijk,rs{_axes(o, 2)}->rs{_axes(q)}", ctx.b.Q, m)
-        yield functools.partial(sign_q_name, q), np.dot(grid, ctx.cof[q])
+        yield functools.partial(sign_name, path), _chain(ctx, path)
+    for q, o in ((0, 1), (1, 0)):   # m[n, r, s] = G_o^{r-1} C_o2 Z^{s-1}
+        m = (ctx.P[o] @ ctx.C[o, 2][:, None])[:, :, None] @ ctx.P[2][:, None]
+        grid = np.einsum(f"nijk,nrs{_axes(o, 2)}->nrs{_axes(q)}", ctx.Q, m)
+        yield functools.partial(sign_q_name, q), np.array(list(map(np.dot, grid, ctx.cof[q])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,30 +305,29 @@ def single_zero_extras(b, vector, grams=None):
     """The 15 extra invariants for a zero component of vector "a", "b" or "g"."""
     if vector not in _VEC_NAMES:
         raise ValueError(f'vector must be one of "a", "b", "g", got {vector!r}')
-    return _extras(_Ctx(b, grams), _VEC_NAMES.index(vector))
+    return _extras(_Ctx((b,), grams), _VEC_NAMES.index(vector))[0]
 
 
 def squared_family(b, grams=None):
     """The 189 squared invariants (traces and norms quadratic in R, S, T, Q)."""
-    return _evaluate("squared", _squared_blocks, _Ctx(b, grams))
+    return _evaluate("squared", _squared_blocks, _Ctx((b,), grams))[0]
 
 
 def sign_resolution(b, grams=None):
     """The 30 sign-resolution invariants for zeros in alpha and beta."""
-    return _evaluate("sign", _sign_blocks, _Ctx(b, grams))
+    return _evaluate("sign", _sign_blocks, _Ctx((b,), grams))[0]
 
 
-def fingerprint_families(b, orbit_class=None, grams=None):
+def _families(ctx, orbit_class=None):
     """Fingerprints of the families in a class's fingerprint, in fingerprint order.
 
     One context serves every family, and each family is evaluated only when
     it is reached.  generic -> the 75 generic invariants; single-zero -> those
     and the 15 extras of the zero vector; any other class, or None -> all 339
     (generic, the extras of a, b and g, squared, sign; every entry is a
-    genuine invariant on any tensor).  grams, when given, must be gram(b.Q):
-    a caller that already holds them saves recomputing them.
+    genuine invariant on any tensor).  Each is a list, one Fingerprint per
+    tensor of the stack ctx.
     """
-    ctx = _Ctx(b, grams)
     yield _evaluate("generic", _generic_blocks, ctx)
     kind = getattr(orbit_class, "kind", None)
     if kind == "single-zero":
@@ -338,6 +337,12 @@ def fingerprint_families(b, orbit_class=None, grams=None):
             yield _extras(ctx, q)
         yield _evaluate("squared", _squared_blocks, ctx)
         yield _evaluate("sign", _sign_blocks, ctx)
+
+
+def fingerprint_families(b, orbit_class=None):
+    """The fingerprints _families lists for the class, for b alone.  Every stage takes a
+    leading batch axis: equivalent's pair is a stack of two, and this the stack of one."""
+    return (fps[0] for fps in _families(_Ctx((b,)), orbit_class))
 
 
 def all_invariants(b):
@@ -350,6 +355,11 @@ def full_fingerprint(b, orbit_class):
     return _join(orbit_class.tag, fingerprint_families(b, orbit_class))
 
 
+def _is_real(value):
+    """An int or a float, numpy's included, but not a bool, which Python counts as an int."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     """First entry where two fingerprints disagree, or None.
 
@@ -358,11 +368,11 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     Raises ValueError if the name sequences differ (incomparable classes), or
     if an entry that is NaN or infinite on either side comes before any
     finite entry that fails: such an entry neither passes nor is a witness.
-    ValueError also unless each tolerance is finite and not negative.
+    ValueError also unless each tolerance is a finite non-negative number (not a bool).
     """
     for what, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
-        if not 0.0 <= tol < np.inf:
-            raise ValueError(f"{what} must be a non-negative finite number, got {tol}")
+        if not (_is_real(tol) and 0.0 <= tol < np.inf):
+            raise ValueError(f"{what} must be a non-negative finite number, got {tol!r}")
     names = fp1.names
     if names != fp2.names:
         raise ValueError("fingerprints enumerate different invariants and cannot be compared")
@@ -381,14 +391,12 @@ def first_mismatch(fp1, fp2, tol_abs=TOL_ABS, tol_rel=TOL_REL):
 
 def q_trilinear(b, r, s, t):
     """sum_ijk (X^{r-1}a)_i (Y^{s-1}b)_j (Z^{t-1}g)_k Q_ijk, summed directly."""
-    ctx = _Ctx(b)
-    return float(np.einsum("i,j,k,ijk->", ctx.V[0][:, r - 1], ctx.V[1][:, s - 1],
-                           ctx.V[2][:, t - 1], b.Q))
+    V = _Ctx((b,)).V[:, 0]
+    return float(np.einsum("i,j,k,ijk->", V[0][:, r - 1], V[1][:, s - 1], V[2][:, t - 1], b.Q))
 
 
 def q_trilinear_flat(b, r, s, t):
     """Same contraction through the axis-1 flattening and a Kronecker product."""
-    ctx = _Ctx(b)
-    q1 = flatten(b.Q, 1)
-    big = np.kron(ctx.P[1][s - 1], ctx.P[2][t - 1])
-    return float(ctx.V[0][:, r - 1] @ q1 @ big @ np.kron(b.beta, b.gamma))
+    ctx = _Ctx((b,))
+    big = np.kron(ctx.P[1, 0, s - 1], ctx.P[2, 0, t - 1])
+    return float(ctx.V[0, 0, :, r - 1] @ flatten(b.Q, 1) @ big @ np.kron(b.beta, b.gamma))

@@ -20,8 +20,9 @@ import numpy as np
 
 __all__ = ["flatten", "refold", "gram", "triple", "triple_cofactor"]
 
-# _ORDER[axis - 1]: the axes of Q in the order the flattening along axis lays them out
-_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+# _ORDER[axis - 1]: the axes of Q in the order the flattening along axis lays them out,
+# counted 1..3 after the batch axis 0 of a (N, 3, 3, 3) stack
+_ORDER = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
 
 
 def _check_axis(axis):
@@ -30,12 +31,12 @@ def _check_axis(axis):
 
 
 def flatten(Q, axis):
-    """3x9 flattening of Q along the given axis (1, 2 or 3)."""
+    """3x9 flattening of Q along the given axis (1, 2 or 3); leading axes are batch axes."""
     _check_axis(axis)
     Q = np.asarray(Q, dtype=float)
-    if Q.shape != (3, 3, 3):
+    if Q.shape[-3:] != (3, 3, 3):
         raise ValueError(f"Q must be 3x3x3, got {Q.shape}")
-    return Q.transpose(_ORDER[axis - 1]).reshape(3, 9)
+    return Q.reshape(-1, 3, 3, 3).transpose(0, *_ORDER[axis - 1]).reshape(Q.shape[:-3] + (3, 9))
 
 
 def refold(mat, axis):
@@ -56,10 +57,11 @@ class GramTriple(NamedTuple):
 def gram(Q):
     """Gram matrices of the three flattenings: X_ii' = sum_jk Q_ijk Q_i'jk etc.
 
-    All three are symmetric positive semidefinite and share their trace.
+    All three are symmetric positive semidefinite and share their trace.  Leading axes
+    of Q are batch axes (a pair in equivalent), each stacked Gram with the bits of one.
     """
     flats = (flatten(Q, axis) for axis in (1, 2, 3))
-    return GramTriple(*(m @ m.T for m in flats))
+    return GramTriple(*(m @ m.swapaxes(-1, -2) for m in flats))
 
 
 def triple(a, b, c):
@@ -74,10 +76,8 @@ def triple(a, b, c):
 
 
 def triple_cofactor(a, b):
-    """Cofactors of the third column of [a b c]: triple(a, b, c) = cof . c."""
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    """Cofactors of the third column of [a b c]: triple(a, b, c) = cof . c.
+    Vectors lie along the last axis; leading axes are batch axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 

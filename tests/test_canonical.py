@@ -166,9 +166,9 @@ def test_two_zero_with_sign_information_is_equivalent(rng):
 
 
 @pytest.mark.parametrize("case", ["two-zero", "identity"])
-def test_equivalent_builds_one_invariant_context_per_state(case, rng, monkeypatch):
-    """One Gram triple per state serves the class and every family, whichever
-    path runs, and equivalent never builds a rotated tensor."""
+def test_equivalent_builds_one_invariant_context_per_pair(case, rng, monkeypatch):
+    """One stacked Gram computation per pair serves both classes and every
+    family, whichever path runs, and equivalent never builds a rotated tensor."""
     import lu3q.canonical
     import lu3q.invariants
 
@@ -185,7 +185,7 @@ def test_equivalent_builds_one_invariant_context_per_state(case, rng, monkeypatc
     v = equivalent(rho, rho2)
     # the rotated copy of I/8 classifies by rounding noise and takes the all-invariant path
     assert v.verdict == ("equivalent" if case == "two-zero" else "inconclusive")
-    assert len(grams) == 2
+    assert len(grams) == 1 and np.shape(grams[0]) == (2, 3, 3, 3)
     assert acts == []
 
 
@@ -206,6 +206,82 @@ def test_equivalent_rejects_non_finite_invariants():
         # a finite entry that fails first is still the witness
         v = equivalent(rho, huge_offdiagonal_state(1e100, 0.3))
     assert (v.verdict, v.witness) == ("inequivalent", "trX^1")
+
+
+def stacking_corpus():
+    """A rotated tensor of each of the 45 single- and two-zero patterns, random
+    densities of ranks 1, 2, 4 and 8, GHZ, W, I/8 and a state whose higher
+    invariants overflow, as BlochTensors."""
+    rng = np.random.default_rng(2026)
+    slots = [(v, i) for v in "abg" for i in range(3)]
+    patterns = [[s] for s in slots] + [list(p) for p in itertools.combinations(slots, 2)]
+    tensors = [act(zeroed_tensor(rng, p), LocalRotation.random(rng)) for p in patterns]
+    tensors += [decompose(random_mixed(rng, rank=r)) for r in (1, 2, 4, 8)]
+    rhos = (ghz_state(), w_state(), np.eye(8, dtype=complex) / 8, huge_offdiagonal_state(1e100))
+    return tensors + [decompose(rho) for rho in rhos]
+
+
+def test_stacked_stages_equal_single_evaluations():
+    """equivalent runs a pair through every stage as one stack of two; each row
+    must carry the bits of the scalar path (the stack of one), whichever row
+    the state is in, and the verdict must not depend on the order."""
+    from lu3q.canonical import DEG_TOL, ZERO_TOL, _frame
+    from lu3q.invariants import _Ctx, _families
+    from lu3q.pauli import _expand
+
+    def same_bits(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def outcome(rho_a, rho_b):
+        try:
+            v = equivalent(rho_a, rho_b)
+        except ValueError as exc:
+            return "ValueError", str(exc).split(":")[0], ()
+        return v.verdict, v.witness, v.classes
+
+    corpus = stacking_corpus()
+    assert len(corpus) == 45 + 4 + 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pair in zip(corpus, corpus[1:] + corpus[:1]):
+            rhos = np.stack([reconstruct(b) for b in pair])
+            single = [list(_families(_Ctx((b,)))) for b in pair]
+            frames = [_frame((b,), gram(b.Q[None]), ZERO_TOL, DEG_TOL) for b in pair]
+            stacked = list(_families(_Ctx(pair)))
+            frame = _frame(pair, gram(np.stack([b.Q for b in pair])), ZERO_TOL, DEG_TOL)
+            expanded = _expand(rhos)
+            spectra = np.linalg.eigvalsh(rhos)
+            for n, b in enumerate(pair):
+                assert [fps[n].names for fps in stacked] == [fps[0].names for fps in single[n]]
+                for fps, one in zip(stacked, single[n]):
+                    assert same_bits(fps[n].values, one[0].values), (fps[n].orbit_class, n)
+                for got, want in zip(frame[:3], frames[n][:3]):
+                    assert same_bits(got[n], want[0])
+                assert frame[-1][n] == frames[n][-1][0]
+                assert same_bits(expanded[n].components(), _expand(rhos[n][None])[0].components())
+                assert same_bits(spectra[n], np.linalg.eigvalsh(rhos[n]))
+            forward, backward = outcome(*rhos), outcome(*rhos[::-1])
+            assert forward[:2] == backward[:2] and forward[2] == backward[2][::-1]
+
+
+def test_equivalent_evaluates_each_family_once_per_pair(rng, monkeypatch):
+    """Both states go through a family in one evaluation: a rotated two-zero-same
+    pair evaluates its 6 families once each, and a cross pair stops after the
+    generic one."""
+    import lu3q.invariants
+
+    calls = []
+    real = lu3q.invariants._evaluate
+    monkeypatch.setattr(lu3q.invariants, "_evaluate",
+                        lambda tag, *args: calls.append(tag) or real(tag, *args))
+    slots = [("a", 0), ("a", 2)]
+    rho = reconstruct(zeroed_tensor(rng, slots))
+    v = equivalent(rho, conjugate(rho, haar_su2(rng), haar_su2(rng), haar_su2(rng)))
+    assert v.classes[0].startswith("two-zero-same") and v.verdict != "inequivalent", v
+    assert calls == ["generic", "extras:a", "extras:b", "extras:g", "squared", "sign"]
+    calls.clear()
+    v = equivalent(rho, reconstruct(zeroed_tensor(rng, slots)))
+    assert (v.verdict, v.witness) == ("inequivalent", "trX^1")
+    assert calls == ["generic"]
 
 
 def reflect(b, qubit, axis):
@@ -308,10 +384,13 @@ def test_rotated_non_positive_two_zero_same_states_never_separate():
 
 
 def test_tolerances_validation():
+    """A bool, a string or None is not a number, whatever numpy would make of it."""
     for name in ("tol_abs", "tol_rel", "zero_tol", "deg_tol"):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), True, np.True_, "1e-9", None):
             with pytest.raises(ValueError, match=name):
                 Tolerances(**{name: bad})
+        assert getattr(Tolerances(**{name: np.float64(0.5)}), name) == 0.5
+        assert getattr(Tolerances(**{name: 2}), name) == 2
 
 
 def test_canonicalize_and_classify_validate_tolerances(rng):

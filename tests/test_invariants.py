@@ -382,10 +382,10 @@ def test_first_mismatch_boundary_and_names():
 
 def test_first_mismatch_validates_tolerances(rng):
     """A bound that is NaN, infinite or negative would make a fingerprint differ
-    from itself; zero is a valid bound."""
+    from itself, and a bool or a string is not a number; zero is a valid bound."""
     fp = all_invariants(physical_bloch(rng))
     for name in ("tol_abs", "tol_rel"):
-        for bad in (-1.0, float("nan"), float("inf")):
+        for bad in (-1.0, float("nan"), float("inf"), True, False, np.True_, "1e-9", None):
             with pytest.raises(ValueError, match=name):
                 first_mismatch(fp, fp, **{name: bad})
     assert first_mismatch(fp, fp, tol_abs=0.0, tol_rel=0.0) is None

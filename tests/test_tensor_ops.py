@@ -50,13 +50,17 @@ def test_gram_and_refold_reject_wrong_shapes():
 
 
 def test_gram_matrices_match_flattenings(rng):
-    """gram is bit for bit the product of each flattening with its transpose."""
+    """gram is bit for bit the product of each flattening with its transpose,
+    and a stack of tensors gives each one's Grams bit for bit."""
     for _ in range(200):
         q = rng.normal(size=(3, 3, 3))
         g = gram(q)
         for mat, axis in ((g.X, 1), (g.Y, 2), (g.Z, 3)):
             f = flatten(q, axis)
             assert np.array_equal(mat, f @ f.T)
+        q2 = rng.normal(size=(3, 3, 3))
+        for stacked, one, two in zip(gram(np.stack([q, q2])), g, gram(q2)):
+            assert stacked.tobytes() == np.stack([one, two]).tobytes()
         assert abs(np.trace(g.X) - np.trace(g.Y)) < 1e-12
         assert abs(np.trace(g.X) - np.trace(g.Z)) < 1e-12
     with pytest.raises(ValueError):
