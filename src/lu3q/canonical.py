@@ -12,8 +12,9 @@ The sign flips keep every |component|, so the class is already fixed in the
 Gram eigen-frames.  equivalent classifies there and never builds the rotation
 or the canonical tensor.  Every stage takes a leading batch axis: equivalent
 runs a pair as one stack of two, whose one Gram computation serves both
-classifications and every invariant family, and the scalar functions
-(canonicalize, classify, the fingerprints) are the stack of one.
+classifications, the Gram traces (compared before any invariant context is
+built) and every invariant family; the scalar functions (canonicalize,
+classify, the fingerprints) are the stack of one.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (_GRAM_NAMES, _VEC_NAMES, TOL_ABS, TOL_REL, Fingerprint, _Ctx,
-                         _families, _is_real, first_mismatch)
+from .invariants import (_GRAM_NAMES, _TRACE_NAMES, _VEC_NAMES, TOL_ABS, TOL_REL, Fingerprint,
+                         _Ctx, _families, _is_real, _powers, _traces, first_mismatch)
 # Unused here; kept importable because bench/spans.py wraps them in this module.
 from .invariants import all_invariants, full_fingerprint, generic_fingerprint  # noqa: F401
 from .pauli import _expand, decompose, validate_density  # noqa: F401 (decompose as above)
@@ -183,10 +184,12 @@ _SPECTRUM_NAMES = (tuple(f"spec:rho[{i}]" for i in range(8))
                    + tuple(f"spec:{name}[{i}]" for name in _GRAM_NAMES for i in range(3)))
 
 
-def _stages(rhos, ctx, classes, orbit_class):
-    """Fingerprints that equivalent compares in turn, a list per stage: the generic
-    family, the density and Gram spectra, then the other families of orbit_class."""
-    families = _families(ctx, orbit_class)
+def _stages(rhos, bs, P, classes, orbit_class):
+    """Fingerprints that equivalent compares in turn, a list per stage: the Gram traces
+    from the Gram powers P, then on a context built on P only if they agree, the generic
+    family, the density and Gram spectra and the other families of orbit_class."""
+    yield [Fingerprint("traces", _TRACE_NAMES, t.ravel()) for t in _traces(P).swapaxes(0, 1)]
+    families = _families(_Ctx(bs, P=P), orbit_class)
     yield next(families)
     yield [Fingerprint("spectra", _SPECTRUM_NAMES, np.concatenate((e, np.ravel(c.spectra))))
            for e, c in zip(np.linalg.eigvalsh(rhos), classes)]
@@ -200,12 +203,14 @@ def equivalent(rho1, rho2, tols=None):
     invariant or spectrum entry as witness), "equivalent-up-to-sign"
     (two-zero classes whose sign-resolution invariants all vanish),
     "inconclusive" (degenerate or other classes with equal fingerprints, or
-    mismatched classes with no differing invariant).  The generic family is
-    compared first, then the spectra, then the rest of the class
-    fingerprint, or of all 339 invariants when the classes differ.
-    Symmetric in its arguments.  Raises ValueError when an entry is NaN or
-    infinite before any entry differs (see first_mismatch).  The two states
-    go through every stage as one stack.
+    mismatched classes with no differing invariant).  The 9 Gram traces,
+    the generic family's first entries, are compared first, from the Grams
+    that classify the states and before any invariant context is built; then
+    the generic family, the spectra, then the rest of the class fingerprint,
+    or of all 339 invariants when the classes differ.  Symmetric in its
+    arguments.  Raises ValueError when an entry is NaN or infinite before any
+    entry differs (see first_mismatch).  The two states go through every stage
+    as one stack.
     """
     tols = tols or Tolerances()
     rhos = np.stack([validate_density(rho) for rho in (rho1, rho2)])
@@ -214,7 +219,7 @@ def equivalent(rho1, rho2, tols=None):
     c1, c2 = _frame(bs, grams, tols.zero_tol, tols.deg_tol)[-1]
     classes = (c1.tag, c2.tag)
     same = c1.matches(c2)
-    for s1, s2 in _stages(rhos, _Ctx(bs, grams), (c1, c2), c1 if same else None):
+    for s1, s2 in _stages(rhos, bs, _powers(grams, 2), (c1, c2), c1 if same else None):
         diff = first_mismatch(s1, s2, tols.tol_abs, tols.tol_rel)
         if diff is not None:
             name, v1, v2 = diff

@@ -57,6 +57,7 @@ _GRAM_NAMES = "XYZ"
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # _PAIRS[2 - q] holds the qubits other than q
 _R3 = (1, 2, 3)
 _SIGN_PATHS = ((1, 2), (0, 2), (0, 1, 2), (1, 0, 2))
+_TRACE_NAMES = tuple(f"tr{g}^{r}" for g in _GRAM_NAMES for r in _R3)   # see _traces
 # R, S, T for the couplings of qubits (0,1), (0,2), (1,2); "t" marks the transpose
 _COUPLING = {(p, q): "RST"[p + q - 1] + ("t" if p > q else "")
              for p in range(3) for q in range(3) if p != q}
@@ -122,22 +123,37 @@ def sign_q_name(q, r, s):
     return f"sgn:{_VEC_NAMES[q]}Q{_COUPLING[1 - q, 2]}:r={r},s={s}"
 
 
+def _powers(grams, n):
+    """P[q, n, r-1] = G_q^{r-1} from the Grams of n tensors (three (n, 3, 3) arrays, or
+    three (3, 3) for n = 1): n comes from the caller, never from the Grams' shape."""
+    P = np.empty((3, n, 3, 3, 3))
+    P[:, :, 0] = np.eye(3)
+    P[:, :, 1] = np.reshape(grams, (3, n, 3, 3))
+    np.matmul(P[:, :, 1], P[:, :, 1], out=P[:, :, 2])
+    return P
+
+
+def _traces(P):
+    """[q, n, r-1] = tr G_q^r from _powers: the generic family's first 9 entries."""
+    g, g2 = P[:, :, 1], P[:, :, 2]
+    return np.stack([g.trace(0, 2, 3), g2.trace(0, 2, 3), np.einsum("qnij,qnji->qn", g2, g)], -1)
+
+
 class _Ctx:
     """Arrays every family reads, for a stack of N tensors: equivalent's pair, or N = 1.
     After any qubit axis q or pair axis k comes the batch axis n: vectors[q, n]
     is v_q, P[q, n, r-1] is G_q^{r-1}, V[q, n, :, r-1] is G_q^{r-1} v_q, cof[q, n]
     is v_q x G_q v_q and RST[k, n], or C[p, q] (transposed for p > q), the couplings.
-    grams, when given, replaces the Grams of Q (three (3, 3) or (N, 3, 3) arrays), so
-    reconstruction can weigh a partially zeroed tensor as its canonical point."""
+    grams replaces the Grams of Q (recover weighs a partially zeroed tensor as its
+    canonical point), P their _powers (equivalent has them from its trace stage)."""
 
-    def __init__(self, bs, grams=None):
+    def __init__(self, bs, grams=None, P=None):
         self.Q = np.array([b.Q for b in bs])
         self.vectors = np.array([[getattr(b, f) for b in bs] for f in ("alpha", "beta", "gamma")])
         self.RST = np.array([[getattr(b, f) for b in bs] for f in "RST"])
-        P = self.P = np.empty((3, len(bs), 3, 3, 3))
-        P[:, :, 0] = np.eye(3)
-        P[:, :, 1] = np.reshape(gram(self.Q) if grams is None else grams, (3, -1, 3, 3))
-        np.matmul(P[:, :, 1], P[:, :, 1], out=P[:, :, 2])
+        if P is None:
+            P = _powers(gram(self.Q) if grams is None else grams, len(bs))
+        self.P = P
         # one matvec per power, stored as the columns of a matrix
         self.V = (P @ self.vectors[:, :, None, :, None])[..., 0].swapaxes(2, 3).copy()
         self.cof = triple_cofactor(self.V[..., 0], self.V[..., 1])
@@ -178,9 +194,8 @@ def _axes(*qubits):
 
 
 def _generic_blocks(ctx):
-    V, g, g2 = ctx.V, ctx.P[:, :, 1], ctx.P[:, :, 2]
-    traces = np.stack([g.trace(0, 2, 3), g2.trace(0, 2, 3), np.einsum("qnij,qnji->qn", g2, g)], -1)
-    for n, grid in zip(_GRAM_NAMES, traces):
+    V = ctx.V
+    for n, grid in zip(_GRAM_NAMES, _traces(ctx.P)):
         yield (lambda r: f"tr{n}^{r}"), grid
     for vn, gn, grid in zip(_VEC_NAMES, _GRAM_NAMES, (ctx.vectors[:, :, None] @ V)[:, :, 0]):
         yield (lambda r: f"{vn}{gn}{vn}:r={r}"), grid

@@ -8,8 +8,8 @@ import pytest
 
 from lu3q import (LocalRotation, Tolerances, act, all_invariants, canonicalize, classify,
                   conjugate, decompose, equivalent, example_state, first_mismatch,
-                  ghz_state, gram, haar_su2, product_state, random_mixed, reconstruct,
-                  w_state)
+                  generic_fingerprint, ghz_state, gram, haar_su2, product_state, random_mixed,
+                  reconstruct, w_state)
 from conftest import bounded_vector, canonical_q, physical_bloch, zeroed_tensor
 from lu3q import BlochTensor
 
@@ -265,8 +265,8 @@ def test_stacked_stages_equal_single_evaluations():
 
 def test_equivalent_evaluates_each_family_once_per_pair(rng, monkeypatch):
     """Both states go through a family in one evaluation: a rotated two-zero-same
-    pair evaluates its 6 families once each, and a cross pair stops after the
-    generic one."""
+    pair evaluates its 6 families once each, and a cross pair stops at the Gram
+    traces, before any family is evaluated."""
     import lu3q.invariants
 
     calls = []
@@ -281,7 +281,46 @@ def test_equivalent_evaluates_each_family_once_per_pair(rng, monkeypatch):
     calls.clear()
     v = equivalent(rho, reconstruct(zeroed_tensor(rng, slots)))
     assert (v.verdict, v.witness) == ("inequivalent", "trX^1")
-    assert calls == ["generic"]
+    assert calls == []
+
+
+def test_trace_stage_is_the_generic_prefix(monkeypatch):
+    """equivalent compares the 9 Gram traces before it builds any invariant context:
+    they must be the first 9 generic entries of each state, names and bits, so the
+    first differing or non-finite entry, and with it the witness or the error, is the
+    one the generic family gives."""
+    import lu3q.canonical
+
+    first = []
+    real = lu3q.canonical.first_mismatch
+
+    def recording(fp1, fp2, *tols):
+        if not first:
+            first.extend((fp1, fp2))
+        return real(fp1, fp2, *tols)
+
+    monkeypatch.setattr(lu3q.canonical, "first_mismatch", recording)
+    corpus = stacking_corpus()[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pair in zip(corpus, corpus[1:] + corpus[:1]):
+            rhos = [reconstruct(b) for b in pair]
+            first.clear()
+            equivalent(*rhos)
+            for fp, rho in zip(first, rhos):
+                generic = generic_fingerprint(decompose(rho))
+                assert fp.names == generic.names[:9]
+                assert np.array_equal(fp.values, generic.values[:9])
+    # the traces read Q alone: the same Q with alpha scaled passes them
+    rng = np.random.default_rng(23)
+    b = act(zeroed_tensor(rng, [("a", 1)]), LocalRotation.random(rng))
+    rho1, rho2 = reconstruct(b), reconstruct(dataclasses.replace(b, alpha=0.9 * b.alpha))
+    for pair in ((rho1, rho2), (rho2, rho1)):
+        assert equivalent(*pair).witness == "aXa:r=1"
+    huge = huge_offdiagonal_state(1e100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^invariant trX\^2 is not finite: inf vs inf$"):
+            equivalent(huge, huge)
+        assert equivalent(huge, huge_offdiagonal_state(1e100, 0.3)).witness == "trX^1"
 
 
 def reflect(b, qubit, axis):

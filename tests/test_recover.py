@@ -224,6 +224,24 @@ def test_two_zero_diff_one_sign_evaluation_serves_both_signs(monkeypatch):
     assert all(g.resolved for g in cases[0][2].groups)
 
 
+def test_pinned_grams_build_a_stack_of_one(rng, monkeypatch):
+    """recover pins its Grams as three (3, 3) arrays; each family it reevaluates on
+    them builds a context of one tensor, not a stack of three."""
+    from lu3q import invariants
+
+    cf, fp = rotated_case(rng, [("a", 1), ("b", 2)])
+    grams = recover._Frame(cf, fp).grams
+    assert [np.shape(g) for g in grams] == [(3, 3)] * 3
+    stacks = []
+    real = invariants._evaluate
+    monkeypatch.setattr(invariants, "_evaluate", lambda tag, family, ctx, *args:
+                        stacks.append(ctx.P.shape[1]) or real(tag, family, ctx, *args))
+    sizes = [len(recover.squared_family(cf.tensor, grams)),
+             len(recover.sign_resolution(cf.tensor, grams)),
+             len(recover.single_zero_extras(cf.tensor, "a", grams))]
+    assert (sizes, stacks) == ([189, 30, 15], [1, 1, 1])
+
+
 def assert_recovers_canonical(rec, t, tol=1e-7):
     """Squares and resolved groups equal the canonical tensor; unresolved groups in magnitude."""
     for key, value in rec.squares.items():
